@@ -368,10 +368,13 @@ BENCHMARK(BM_PlanSteadyStateAllocs);
 
 // Serving-path allocation gate (src/serve/): a WARM QueryEngine executing
 // a mixed stream of all three query types across all three spread
-// estimators must never touch the heap — snapshot inference runs in the
-// engine's arena, diffusion in its epoch-stamped workspace, sketch
-// coverage in its stamped VisitedSet, and the response reuses its
-// vectors. Same kill-the-binary contract as BM_PlanSteadyStateAllocs;
+// estimators must never touch the heap. Inference does not run in the
+// engine: top-k reads the snapshot's ranking, computed once by the warm
+// pass, and a candidate-restricted top-k sorts candidate positions in the
+// engine's staging buffer after a dedup check in its stamped VisitedSet.
+// Diffusion runs in the epoch-stamped workspace, sketch coverage in its
+// own stamped VisitedSet, and the response reuses its vectors. Same
+// kill-the-binary contract as BM_PlanSteadyStateAllocs;
 // tools/run_checks.sh runs both by name.
 void BM_ServeSteadyStateAllocs(benchmark::State& state) {
   Rng gen(6);
@@ -408,6 +411,15 @@ void BM_ServeSteadyStateAllocs(benchmark::State& state) {
   }
   {
     QueryRequest req;
+    req.type = QueryType::kTopK;
+    req.k = 4;
+    req.candidates = {41, 7, 63, 12, 30, 55, 2, 18};
+    req.estimator = SpreadEstimator::kExact;
+    req.max_steps = 1;
+    mix.push_back(std::move(req));
+  }
+  {
+    QueryRequest req;
     req.type = QueryType::kSpread;
     req.seeds = {0, 1, 2};
     req.estimator = SpreadEstimator::kMonteCarloIc;
@@ -437,7 +449,8 @@ void BM_ServeSteadyStateAllocs(benchmark::State& state) {
 
   QueryEngine engine;
   QueryResponse resp;
-  // Warm pass: arena growth, workspace init, response-vector high-water.
+  // Warm pass: the snapshot's ranking, workspace init, staging and
+  // response-vector high-water marks.
   for (const QueryRequest& req : mix) {
     const Status s = engine.Execute(g, snapshot.get(), &sketch, req, resp);
     if (!s.ok()) {

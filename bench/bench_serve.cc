@@ -1,10 +1,13 @@
 // Closed-loop load generator for the online serving layer (src/serve/).
 //
 // Drives a Server with the standard request mixes (serve/harness.h) at
-// 1, 2, and 8 worker threads over two graphs — a synthetic 100k-node
+// 1, 2, and 4 worker threads (4 = the cores of the reference host: no row
+// runs more workers than cores) over two graphs — a synthetic 100k-node
 // Watts-Strogatz ring ("WS-100k") and the HepPh citation graph — and
 // writes QPS plus p50/p95/p99 latency per (dataset, mix, threads) cell to
-// BENCH_serve.json (docs/performance.md records a summary).
+// BENCH_serve.json, with the host's core count and dispatched kernel tier
+// and, per graph, the time of the snapshot's one ranking — the inference
+// the first top-k query pays (docs/performance.md records a summary).
 //
 // Closed loop: each client keeps exactly one request outstanding, so
 // offered load adapts to capacity and the latency quantiles are free of
@@ -21,6 +24,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -33,6 +37,7 @@
 #include "nn/gnn.h"
 #include "serve/harness.h"
 #include "serve/server.h"
+#include "tensor/kernels.h"
 
 namespace privim {
 namespace {
@@ -81,15 +86,23 @@ void AppendJson(std::string& out, const Cell& cell) {
       cell.report.latency_p99 * 1e3, cell.report.latency_mean * 1e3);
 }
 
-void RunDataset(const std::string& name, const Graph& g,
-                size_t requests_per_client, std::vector<Cell>& cells) {
+/// Runs every (threads, mix) cell of one graph and returns the
+/// milliseconds of the snapshot's one ranking (the inference its first
+/// top-k pays). The ranking is timed apart, before any cell, so it does
+/// not land in the first cell's wall time.
+double RunDataset(const std::string& name, const Graph& g,
+                  size_t requests_per_client, std::vector<Cell>& cells) {
   std::cout << name << ": " << g.num_nodes() << " nodes, "
             << g.num_edges() << " edges\n";
   const auto snapshot = RandomSnapshot(g, /*seed=*/17);
+  WallTimer rank_timer;
+  snapshot->ranking();
+  const double rank_ms = rank_timer.ElapsedSeconds() * 1e3;
+  std::cout << StrFormat("  ranking (first top-k): %.1f ms\n", rank_ms);
   const std::vector<RequestMix> mixes =
       StandardMixes(g.num_nodes(), /*seed=*/23);
 
-  for (const size_t threads : {1u, 2u, 8u}) {
+  for (const size_t threads : {1u, 2u, 4u}) {
     ServeConfig cfg;
     cfg.num_threads = threads;
     cfg.queue_capacity = 1024;
@@ -120,6 +133,7 @@ void RunDataset(const std::string& name, const Graph& g,
     }
     server.Stop();
   }
+  return rank_ms;
 }
 
 void Run() {
@@ -129,23 +143,30 @@ void Run() {
                    /*repeats=*/1);
 
   std::vector<Cell> cells;
+  std::string rank_ms;
   {
     Rng rng(101);
     const size_t n =
         std::max<size_t>(static_cast<size_t>(100000 * scale), 1000);
     Graph ws = bench::DieOnError(WattsStrogatz(n, 5, 0.05, rng),
                                  "WattsStrogatz");
-    RunDataset("WS-100k", ws, requests, cells);
+    rank_ms += StrFormat("\"WS-100k\": %.1f",
+                         RunDataset("WS-100k", ws, requests, cells));
   }
   {
     Rng rng(102);
     Graph hepph = bench::DieOnError(
         MakeDataset(DatasetId::kHepPh, rng, scale), "MakeDataset HepPh");
-    RunDataset("HepPh", hepph, requests, cells);
+    rank_ms += StrFormat(", \"HepPh\": %.1f",
+                         RunDataset("HepPh", hepph, requests, cells));
   }
 
   const std::string out_path = OutPathFromEnv();
-  std::string json = "{\n  \"bench\": \"serve\",\n  \"cells\": [\n";
+  std::string json = StrFormat(
+      "{\n  \"bench\": \"serve\",\n  \"host\": {\"nproc\": %u, "
+      "\"isa\": \"%s\"},\n  \"ranking_ms\": {%s},\n  \"cells\": [\n",
+      std::thread::hardware_concurrency(),
+      simd::IsaName(simd::ResolveIsa()), rank_ms.c_str());
   for (size_t i = 0; i < cells.size(); ++i) {
     AppendJson(json, cells[i]);
     json += (i + 1 < cells.size()) ? ",\n" : "\n";

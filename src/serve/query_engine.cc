@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "im/diffusion.h"
 
 namespace privim {
@@ -42,36 +43,39 @@ Status QueryEngine::ExecuteTopK(const Graph& graph,
                                 const RrSketch* sketch,
                                 const QueryRequest& request,
                                 QueryResponse& response) {
-  response.snapshot_id = snapshot.id();
-  // Inference through the snapshot's compiled plan: allocation-free once
-  // this engine's arena has reached the plan's high-water mark.
-  snapshot.logits_plan().Forward(snapshot.flat_params(),
-                                 snapshot.features(), arena_);
-  const std::span<const float> logits =
-      snapshot.logits_plan().Output(arena_);
-
-  rank_.clear();
-  if (request.candidates.empty()) {
-    for (uint32_t u = 0; u < graph.num_nodes(); ++u) {
-      rank_.emplace_back(logits[u], u);
-    }
-  } else {
+  if (!request.candidates.empty()) {
+    candidate_seen_.Reset(graph.num_nodes());
     for (NodeId c : request.candidates) {
-      rank_.emplace_back(logits[c], c);
+      if (candidate_seen_.Contains(c)) {
+        return Status::InvalidArgument(StrFormat(
+            "request.candidates repeats node %u; topk candidates must be "
+            "distinct", static_cast<unsigned>(c)));
+      }
+      candidate_seen_.Insert(c);
     }
   }
-  const size_t k = std::min(request.k, rank_.size());
-  // Deterministic ranking: logit descending, node id ascending on ties —
-  // the response is a pure function of (snapshot, candidate set).
-  const auto better = [](const std::pair<float, uint32_t>& a,
-                         const std::pair<float, uint32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  std::partial_sort(rank_.begin(), rank_.begin() + k, rank_.end(), better);
-  for (size_t i = 0; i < k; ++i) {
-    response.seeds.push_back(rank_[i].second);
-    response.values.push_back(static_cast<double>(rank_[i].first));
+  response.snapshot_id = snapshot.id();
+  // The snapshot ranks every node once (logit desc, id asc; NaN last), so
+  // answering is a prefix copy, or a partial sort of the candidates'
+  // positions in that order — plain u32 compares.
+  const SeedRanking& ranking = snapshot.ranking();
+  if (request.candidates.empty()) {
+    const size_t k = std::min(request.k, ranking.order.size());
+    response.seeds.assign(ranking.order.begin(), ranking.order.begin() + k);
+  } else {
+    candidate_pos_.clear();
+    for (NodeId c : request.candidates) {
+      candidate_pos_.push_back(ranking.position[c]);
+    }
+    const size_t k = std::min(request.k, candidate_pos_.size());
+    std::partial_sort(candidate_pos_.begin(), candidate_pos_.begin() + k,
+                      candidate_pos_.end());
+    for (size_t i = 0; i < k; ++i) {
+      response.seeds.push_back(ranking.order[candidate_pos_[i]]);
+    }
+  }
+  for (NodeId s : response.seeds) {
+    response.values.push_back(static_cast<double>(ranking.logits[s]));
   }
   PRIVIM_ASSIGN_OR_RETURN(
       response.spread,

@@ -2,7 +2,6 @@
 #define PRIVIM_SERVE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -11,17 +10,22 @@
 #include "runtime/scratch.h"
 #include "serve/request.h"
 #include "serve/snapshot.h"
-#include "tensor/plan.h"
 
 namespace privim {
 
-/// One worker's query-execution core: the resident graph plus every piece
-/// of reusable state a query needs — the plan arena for inference, the
-/// epoch-stamped diffusion workspace, the sketch-coverage set, and the
-/// ranking/seed staging buffers. State persists across queries, which is
-/// the serving layer's performance contract: once every query type has run
-/// once (a warm engine), Execute performs ZERO heap allocations, gated in
-/// CI by bench_micro's ServeSteadyStateAllocs case exactly like the
+/// One worker's query-execution core: every piece of reusable state a
+/// query needs — the epoch-stamped diffusion workspace, the sketch-coverage
+/// set, the candidate-dedup set, and the top-k and marginal-gain staging
+/// buffers. Inference does not run here: a top-k query reads the
+/// snapshot's SeedRanking (ModelSnapshot::ranking, one inference on the
+/// snapshot's first top-k, stored after), so it costs a k-prefix copy, or
+/// a partial sort of the candidates' positions in that ranking. Its only
+/// graph-sized state is the dedup set's stamps, reset in O(1) per query.
+///
+/// State persists across queries, which is the serving layer's
+/// performance contract: once every query type has run once (a warm
+/// engine), Execute performs ZERO heap allocations, gated in CI by
+/// bench_micro's ServeSteadyStateAllocs case exactly like the
 /// compiled-plan trainer path.
 ///
 /// Thread-safety: none — one engine per worker slot, exclusive use
@@ -38,9 +42,10 @@ namespace privim {
 ///
 /// Determinism: every answer is a pure function of (snapshot, resident
 /// graph/sketch, request) — Monte-Carlo trials draw counter-derived
-/// streams from request.seed, and top-k ties break on node id — so
-/// responses are reproducible regardless of which worker served them or
-/// what was cached. The hot-swap torture test leans on exactly this.
+/// streams from request.seed, and top-k answers follow the snapshot's
+/// total (logit desc, id asc) order — so responses are reproducible
+/// regardless of which worker served them or what was cached. The
+/// hot-swap torture test leans on exactly this.
 class QueryEngine {
  public:
   QueryEngine();
@@ -93,9 +98,13 @@ class QueryEngine {
   /// workspace's node-indexed sets because it is indexed by RR-set id
   /// (different size => separate stamp domain keeps resets O(1)).
   VisitedSet sketch_covered_;
-  PlanArena arena_;
-  /// Ranking scratch: (logit, node), partially sorted for top-k.
-  std::vector<std::pair<float, uint32_t>> rank_;
+  /// Top-k candidates seen so far in the current request — rejects a
+  /// repeated candidate. Kept out of `workspaces_` so serve.ws.* counts
+  /// diffusion only.
+  VisitedSet candidate_seen_;
+  /// Top-k scratch: the candidates' positions in the snapshot's ranking,
+  /// partially sorted. Sized by the candidate list, not the graph.
+  std::vector<uint32_t> candidate_pos_;
   /// Seed-set staging for marginal-gain estimates (base set + candidate).
   std::vector<NodeId> seed_buf_;
 };

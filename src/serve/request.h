@@ -19,8 +19,8 @@ namespace privim {
 /// argument — once the mechanism's output is fixed, inference is free).
 enum class QueryType {
   /// Top-k seed selection: rank candidates by the model's seed logits and
-  /// return the k best (ties broken by ascending node id, so the answer is
-  /// a pure function of the snapshot).
+  /// return the k best (ties broken by ascending node id, NaN logits after
+  /// every number, so the answer is a pure function of the snapshot).
   kTopK,
   /// Influence-spread estimate for a caller-supplied seed set.
   kSpread,
@@ -55,7 +55,8 @@ struct QueryRequest {
   /// kTopK: seed budget.
   size_t k = 50;
   /// kTopK: candidate restriction (empty = all nodes of the resident
-  /// graph). kMarginalGain: the candidates to score.
+  /// graph; a repeated node is InvalidArgument). kMarginalGain: the
+  /// candidates to score.
   std::vector<NodeId> candidates;
   /// kSpread / kMarginalGain: the base seed set.
   std::vector<NodeId> seeds;

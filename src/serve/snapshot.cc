@@ -1,6 +1,9 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/string_util.h"
@@ -66,16 +69,43 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromModel(
   // ordering to the probabilities but immune to float32 sigmoid
   // saturation at the top of the ranking.
   // Serving is inference-only, so the logits plan takes the optimized
-  // (fused + SIMD) compile: still a deterministic pure function of
-  // (snapshot, graph, request) — every worker runs the same kernels — just
-  // not bit-identical to the tape (docs/performance.md tolerance
-  // contract). PRIVIM_FORCE_ISA=scalar restores the reference kernels.
+  // (fused + SIMD) compile: the ranking is still a deterministic function
+  // of the snapshot, just not bit-identical to the tape
+  // (docs/performance.md tolerance contract). PRIVIM_FORCE_ISA=scalar
+  // restores the reference kernels.
   PlanBuilder pb;
   const PlanValId x =
       pb.Input(snap->ctx_.num_nodes, snap->model_->config().in_dim);
   snap->logits_plan_ = pb.Build(snap->model_->LowerLogits(pb, snap->ctx_, x),
                                 PlanOptions::Native());
   return std::shared_ptr<const ModelSnapshot>(std::move(snap));
+}
+
+const SeedRanking& ModelSnapshot::ranking() const {
+  std::call_once(ranking_once_, [this] {
+    // The arena lives only for this one forward: the stored ranking is
+    // all later queries read.
+    PlanArena arena;
+    logits_plan_.Forward(flat_params_, features_, arena);
+    const std::span<const float> logits = logits_plan_.Output(arena);
+    SeedRanking& r = ranking_;
+    r.logits.assign(logits.begin(), logits.end());
+    r.order.resize(r.logits.size());
+    std::iota(r.order.begin(), r.order.end(), 0u);
+    // (logit desc, id asc) with NaN after every number: a strict total
+    // order, which a plain float `>` stops being once NaN mixes in.
+    std::sort(r.order.begin(), r.order.end(), [&r](uint32_t a, uint32_t b) {
+      const float la = r.logits[a];
+      const float lb = r.logits[b];
+      const bool nan_a = std::isnan(la);
+      if (nan_a != std::isnan(lb)) return !nan_a;
+      if (!nan_a && la != lb) return la > lb;
+      return a < b;
+    });
+    r.position.resize(r.order.size());
+    for (uint32_t i = 0; i < r.order.size(); ++i) r.position[r.order[i]] = i;
+  });
+  return ranking_;
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,18 +17,43 @@
 
 namespace privim {
 
+/// The seed ranking of one snapshot: every node's pre-sigmoid seed logit
+/// and the node order by (logit desc, id asc), with NaN logits after every
+/// number (ties among NaNs, too, break by ascending id). A total order, so
+/// the ranking is unique. 12 bytes per node.
+struct SeedRanking {
+  /// logits[v]: node v's seed logit.
+  std::vector<float> logits;
+  /// Node ids, best first.
+  std::vector<uint32_t> order;
+  /// position[v]: index of node v in `order` — comparing two positions
+  /// compares the nodes' ranks.
+  std::vector<uint32_t> position;
+};
+
 /// One immutable, servable version of the model: the loaded GnnModel plus
 /// everything inference over the resident graph derives from it — the
 /// message-passing GraphContext, the structural feature matrix, the flat
-/// parameter snapshot, and the compiled seed-logits plan (tensor/plan.h).
+/// parameter snapshot, the compiled seed-logits plan (tensor/plan.h), and
+/// the seed ranking that plan produces.
 ///
 /// Snapshots are the unit of hot swap. The Server publishes the current
 /// snapshot behind a shared_ptr (RCU style): workers take a reference per
 /// batch, queries in flight keep the old version alive after a swap, and
-/// the last reference releases it. Everything here is written once at
-/// build time and only read afterwards, so concurrent query execution
-/// needs no further synchronization; the one mutable thing a plan needs —
-/// the arena — lives per worker in the QueryEngine, never here.
+/// the last reference releases it. Everything here is written once and
+/// only read afterwards, so concurrent query execution needs no further
+/// synchronization.
+///
+/// The ranking is the one piece written after construction: ranking()
+/// computes it on its first call, behind std::call_once, with one forward
+/// of the logits plan in a temporary arena and one sort. Concurrent first
+/// callers wait for that single computation; every later call reads the
+/// stored result. Lazy rather than in FromModel because a snapshot that
+/// never answers a top-k query (a stream publishing every batch beside
+/// spread-only traffic) then never pays for inference. The model cannot
+/// change within a snapshot, so ranking once is exactly as good as ranking
+/// per query — and, inference being post-processing of the released
+/// parameters, it spends no privacy budget either way.
 ///
 /// A snapshot is compiled against ONE resident graph (the plan embeds the
 /// graph's edge structure); `num_nodes()` is validated by the Server at
@@ -70,9 +96,13 @@ class ModelSnapshot {
 
   const GnnModel& model() const { return *model_; }
 
-  /// Compiled plan producing the [num_nodes, 1] pre-sigmoid seed logits.
-  /// Read-only and shared by every worker; execute with flat_params() /
-  /// features() and a per-worker arena.
+  /// The seed ranking, computed on the first call (see the class comment)
+  /// and stored for the snapshot's lifetime. Thread-safe.
+  const SeedRanking& ranking() const;
+
+  /// Compiled plan producing the [num_nodes, 1] pre-sigmoid seed logits —
+  /// the source of ranking(). Read-only; execute with flat_params() /
+  /// features() and a caller-owned arena.
   const GnnPlan& logits_plan() const { return logits_plan_; }
 
   std::span<const float> flat_params() const { return flat_params_; }
@@ -92,6 +122,8 @@ class ModelSnapshot {
   Matrix features_;
   std::vector<float> flat_params_;
   GnnPlan logits_plan_;
+  mutable std::once_flag ranking_once_;
+  mutable SeedRanking ranking_;  // Written once, under ranking_once_.
 };
 
 }  // namespace privim

@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -176,6 +178,65 @@ TEST_F(ServerTest, InvalidRequestsAreRejectedNotExecuted) {
     EXPECT_EQ(server.Query(req, resp).code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+TEST_F(ServerTest, TopKRejectsRepeatedCandidates) {
+  // Regression: {5, 5, 5, 9} with k = 3 once answered 9 5 5 — the same
+  // seed twice.
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  Server server(graph_, cfg);
+  ASSERT_TRUE(server.SwapSnapshot(TestSnapshot(graph_, 1)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  QueryRequest req;
+  req.type = QueryType::kTopK;
+  req.k = 3;
+  req.candidates = {5, 5, 5, 9};
+  QueryResponse resp;
+  const Status s = server.Query(req, resp);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("repeats node 5"), std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(resp.seeds.empty());
+  EXPECT_EQ(resp.snapshot_id, 0u);
+
+  // Distinct candidates still answer, and the rejection left no state
+  // behind that changes them.
+  req.candidates = {5, 9, 2};
+  ASSERT_TRUE(server.Query(req, resp).ok());
+  EXPECT_EQ(resp.seeds.size(), 3u);
+  server.Stop();
+}
+
+TEST_F(ServerTest, NanLogitsRankByAscendingId) {
+  // One NaN parameter turns every logit NaN. NaN ties like any other tie:
+  // by ascending node id.
+  Rng rng(3);
+  auto model = std::make_unique<GnnModel>(SmallConfig(), rng);
+  std::vector<float> flat(model->params().num_scalars());
+  model->params().FlattenParams(flat);
+  flat[0] = std::numeric_limits<float>::quiet_NaN();
+  model->params().LoadParams(flat);
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  Server server(graph_, cfg);
+  ASSERT_TRUE(server
+                  .SwapSnapshot(std::move(ModelSnapshot::FromModel(
+                                              std::move(model), graph_))
+                                    .ValueOrDie())
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  QueryRequest req;
+  req.type = QueryType::kTopK;
+  req.k = 10;
+  QueryResponse resp;
+  ASSERT_TRUE(server.Query(req, resp).ok());
+  ASSERT_EQ(resp.seeds.size(), 10u);
+  for (size_t i = 0; i < resp.seeds.size(); ++i) {
+    EXPECT_EQ(resp.seeds[i], i);
+    EXPECT_TRUE(std::isnan(resp.values[i])) << "seed " << i;
+  }
+  server.Stop();
 }
 
 TEST_F(ServerTest, BackpressureRejectsWhenQueueFull) {
