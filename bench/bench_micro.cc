@@ -34,7 +34,9 @@
 #include "sampling/freq_sampler.h"
 #include "sampling/rwr_sampler.h"
 #include "shard/shard_runner.h"
+#include "obs/metrics.h"
 #include "serve/query_engine.h"
+#include "serve/server.h"
 #include "serve/snapshot.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -540,17 +542,22 @@ BENCHMARK(BM_ScaleSmoke)->Iterations(1)->Unit(benchmark::kMillisecond);
 // Hard-fails the binary when more than 25% of the sketch regenerates for
 // a 16-event batch on a 50k-node graph (the bit-identity of the repair is
 // proven in tests/stream/; this guards its *cost*).
-void BM_StreamUpdate(benchmark::State& state) {
+// The 50k-node graph both stream gates run on. Low IC weights keep RR
+// balls small; with unit weights every full-length cascade spans the
+// component and locality is meaningless.
+Graph StreamGateGraph() {
   constexpr size_t kNodes = 50000;
-  constexpr size_t kSets = 512;
   GraphBuilder b(kNodes);
   for (NodeId u = 0; u < kNodes; ++u) {
-    // Low IC weights keep RR balls small; with unit weights every
-    // full-length cascade spans the component and locality is meaningless.
     (void)b.AddUndirectedEdge(u, (u + 1) % kNodes, 0.05f);
     (void)b.AddUndirectedEdge(u, (u + 17) % kNodes, 0.05f);
   }
-  Graph base = std::move(b.Build()).ValueOrDie();
+  return std::move(b.Build()).ValueOrDie();
+}
+
+void BM_StreamUpdate(benchmark::State& state) {
+  constexpr size_t kSets = 512;
+  Graph base = StreamGateGraph();
   GraphDelta delta(base);
   GraphView view(base, &delta);
   Rng rng(0x57123);
@@ -587,6 +594,69 @@ void BM_StreamUpdate(benchmark::State& state) {
   state.counters["sketch_sets"] = static_cast<double>(kSets);
 }
 BENCHMARK(BM_StreamUpdate)->Unit(benchmark::kMillisecond);
+
+// Publish locality gate (docs/serving.md): publishing a small update batch
+// to a Server — compaction, a snapshot, SwapGraphAndSnapshot — must repair
+// the resident sketch from the in-row diff, not regenerate it. Hard-fails
+// the binary when swaps of 16-event batches on StreamGateGraph()
+// generate more than 25% of a 512-set sketch on average, read from the
+// server's serve.sketch.sets_rebuilt counter (the bit-identity of the
+// repaired sketch is proven in tests/stream/; this guards its cost).
+void BM_StreamPublish(benchmark::State& state) {
+  constexpr size_t kSets = 512;
+  Graph base = StreamGateGraph();
+  GraphDelta delta(base);
+  GraphView view(base, &delta);
+  MetricsRegistry metrics;
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  cfg.rr_sketch_sets = kSets;
+  cfg.metrics = &metrics;
+  Server server(base, cfg);
+  const Counter* rebuilt = metrics.GetCounter("serve.sketch.sets_rebuilt");
+  GnnConfig gnn;
+  gnn.type = GnnType::kGrat;
+  gnn.in_dim = kNodeFeatureDim;
+
+  StreamGenConfig gen;
+  gen.events_per_batch = 16;
+  uint64_t batch_index = 0;
+  size_t swaps = 0;
+  for (auto _ : state) {
+    UpdateBatch batch =
+        MakeSyntheticBatch(view, batch_index++, 0x57125, gen);
+    (void)std::move(ApplyUpdateBatch(delta, batch)).ValueOrDie();
+    auto graph = std::make_shared<const Graph>(
+        std::move(delta.Compact()).ValueOrDie());
+    Rng model_rng(batch_index);
+    auto model = std::make_unique<GnnModel>(gnn, model_rng);
+    const Status swapped = server.SwapGraphAndSnapshot(
+        std::move(ModelSnapshot::FromModel(std::move(model), graph))
+            .ValueOrDie());
+    if (!swapped.ok()) {
+      std::fprintf(stderr, "FATAL: swap failed: %s\n",
+                   swapped.ToString().c_str());
+      std::exit(1);
+    }
+    ++swaps;
+  }
+  const double rebuilt_frac =
+      static_cast<double>(rebuilt->value()) /
+      (static_cast<double>(swaps) * static_cast<double>(kSets));
+  if (rebuilt_frac > 0.25) {
+    std::fprintf(stderr,
+                 "FATAL: publishing a %zu-event batch regenerated %.1f%% of "
+                 "the resident RR sketch per swap on average (> 25%% gate) "
+                 "— the swap no longer repairs from the in-row diff "
+                 "(serve/server.h).\n",
+                 gen.events_per_batch, 100.0 * rebuilt_frac);
+    std::exit(1);
+  }
+  state.counters["rebuilt_sets_per_swap"] =
+      static_cast<double>(rebuilt->value()) / static_cast<double>(swaps);
+  state.counters["sketch_sets"] = static_cast<double>(kSets);
+}
+BENCHMARK(BM_StreamPublish)->Unit(benchmark::kMillisecond);
 
 void BM_CelfVsGreedy(benchmark::State& state) {
   Graph g = SharedGraph(1500);

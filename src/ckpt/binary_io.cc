@@ -201,6 +201,18 @@ Result<std::span<const uint8_t>> BinaryReader::Take(size_t n) {
   return out;
 }
 
+Status BinaryReader::CheckCount(uint64_t count, size_t min_entry_bytes,
+                               const char* field) const {
+  if (count > remaining() / min_entry_bytes) {
+    return Status::IoError(StrFormat(
+        "checkpoint field '%s' claims %llu entries of at least %zu bytes, "
+        "but only %zu payload bytes are left",
+        field, static_cast<unsigned long long>(count), min_entry_bytes,
+        remaining()));
+  }
+  return Status::OK();
+}
+
 Result<uint8_t> BinaryReader::ReadU8() {
   PRIVIM_ASSIGN_OR_RETURN(std::span<const uint8_t> b, Take(1));
   return b[0];
@@ -244,6 +256,7 @@ Result<std::string> BinaryReader::ReadString() {
 
 Result<std::vector<float>> BinaryReader::ReadFloatVec() {
   PRIVIM_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
+  PRIVIM_RETURN_NOT_OK(CheckCount(n, sizeof(float), "float-vector length"));
   std::vector<float> out;
   out.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -255,6 +268,7 @@ Result<std::vector<float>> BinaryReader::ReadFloatVec() {
 
 Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
   PRIVIM_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
+  PRIVIM_RETURN_NOT_OK(CheckCount(n, sizeof(double), "double-vector length"));
   std::vector<double> out;
   out.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -266,6 +280,7 @@ Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
 
 Result<std::vector<uint64_t>> BinaryReader::ReadU64Vec() {
   PRIVIM_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
+  PRIVIM_RETURN_NOT_OK(CheckCount(n, sizeof(uint64_t), "u64-vector length"));
   std::vector<uint64_t> out;
   out.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -282,6 +297,7 @@ Result<std::vector<size_t>> BinaryReader::ReadSizeVec() {
 
 Result<std::vector<uint32_t>> BinaryReader::ReadU32Vec() {
   PRIVIM_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
+  PRIVIM_RETURN_NOT_OK(CheckCount(n, sizeof(uint32_t), "u32-vector length"));
   std::vector<uint32_t> out;
   out.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {

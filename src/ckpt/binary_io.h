@@ -91,6 +91,13 @@ class BinaryReader {
   Result<std::vector<size_t>> ReadSizeVec();
   Result<std::vector<uint32_t>> ReadU32Vec();
 
+  /// OK when `count` entries of at least `min_entry_bytes` each fit in
+  /// the unread payload; IoError naming `field` otherwise. Call before
+  /// sizing anything from a count read out of the file: a hostile length
+  /// must fail here, not in the allocator.
+  Status CheckCount(uint64_t count, size_t min_entry_bytes,
+                    const char* field) const;
+
   /// True once every payload byte has been consumed; load functions check
   /// this to catch trailing garbage.
   bool AtEnd() const { return pos_ == payload_.size(); }

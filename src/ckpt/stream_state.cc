@@ -11,6 +11,11 @@ namespace {
 constexpr uint32_t kStreamVersion = 1;
 // Kinds 1 (trainer) and 2 (pipeline) live in checkpoint.cc.
 constexpr uint32_t kStreamKind = 3;
+// Encoded sizes of the repeated records below, the floor a count read from
+// the file is checked against before anything is sized from it.
+constexpr size_t kRoundBytes = 5 * 8 + 3 * 8;      // WriteSpec + 3 doubles
+constexpr size_t kEventBytes = 4 * 4 + 8;          // WriteEvent
+constexpr size_t kStepRecordBytes = 9 * 8 + 1 + 3 * 8;  // WriteStepRecord
 
 void WriteSpec(BinaryWriter& w, const DpSgdSpec& spec) {
   w.WriteU64(spec.max_occurrences);
@@ -52,6 +57,7 @@ Result<ContinualAccountant::State> ReadContinualState(BinaryReader& r) {
   PRIVIM_ASSIGN_OR_RETURN(state.delta, r.ReadDouble());
   PRIVIM_ASSIGN_OR_RETURN(state.gamma_totals, r.ReadDoubleVec());
   PRIVIM_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+  PRIVIM_RETURN_NOT_OK(r.CheckCount(count, kRoundBytes, "accountant rounds"));
   state.rounds.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     ContinualAccountant::Round round;
@@ -172,6 +178,7 @@ Result<StreamState> LoadStreamState(const std::string& path,
   PRIVIM_ASSIGN_OR_RETURN(state.fingerprint, r.ReadU64());
   PRIVIM_ASSIGN_OR_RETURN(state.batches_applied, r.ReadU64());
   PRIVIM_ASSIGN_OR_RETURN(uint64_t log_size, r.ReadU64());
+  PRIVIM_RETURN_NOT_OK(r.CheckCount(log_size, kEventBytes, "event log"));
   state.event_log.reserve(static_cast<size_t>(log_size));
   for (uint64_t i = 0; i < log_size; ++i) {
     PRIVIM_ASSIGN_OR_RETURN(UpdateEvent ev, ReadEvent(r));
@@ -188,6 +195,8 @@ Result<StreamState> LoadStreamState(const std::string& path,
   PRIVIM_ASSIGN_OR_RETURN(state.sketch_stream_base, r.ReadU64());
   PRIVIM_ASSIGN_OR_RETURN(state.sketch_sets, r.ReadU64());
   PRIVIM_ASSIGN_OR_RETURN(uint64_t hist_size, r.ReadU64());
+  PRIVIM_RETURN_NOT_OK(
+      r.CheckCount(hist_size, kStepRecordBytes, "history rows"));
   state.history.reserve(static_cast<size_t>(hist_size));
   for (uint64_t i = 0; i < hist_size; ++i) {
     PRIVIM_ASSIGN_OR_RETURN(StreamStepRecord rec, ReadStepRecord(r));

@@ -1,10 +1,12 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <numeric>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace privim {
 
@@ -107,6 +109,37 @@ Result<Graph> ThetaBoundedProjection(const Graph& g, size_t theta, Rng& rng) {
     }
   }
   return builder.Build();
+}
+
+Result<std::vector<NodeId>> ChangedInRows(const Graph& before,
+                                          const Graph& after) {
+  if (before.num_nodes() != after.num_nodes()) {
+    return Status::InvalidArgument(StrFormat(
+        "in-row diff needs equal node counts, got %zu and %zu",
+        before.num_nodes(), after.num_nodes()));
+  }
+  if (!before.has_in_csr() || !after.has_in_csr()) {
+    return Status::FailedPrecondition(
+        "in-row diff reads in-rows; call Graph::EnsureInCsr() on both "
+        "graphs first");
+  }
+  std::vector<NodeId> changed;
+  for (NodeId v = 0; v < before.num_nodes(); ++v) {
+    const std::span<const NodeId> a = before.InNeighbors(v);
+    const std::span<const NodeId> b = after.InNeighbors(v);
+    if (a.size() != b.size()) {
+      changed.push_back(v);
+      continue;
+    }
+    if (a.empty()) continue;  // memcmp must not see an arc-free graph's null
+    const std::span<const float> wa = before.InWeights(v);
+    if (std::memcmp(a.data(), b.data(), a.size_bytes()) != 0 ||
+        std::memcmp(wa.data(), after.InWeights(v).data(), wa.size_bytes()) !=
+            0) {
+      changed.push_back(v);
+    }
+  }
+  return changed;
 }
 
 double TransitivityEstimate(const Graph& g, Rng& rng, size_t max_samples) {

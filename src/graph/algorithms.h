@@ -30,6 +30,15 @@ ComponentLabels WeaklyConnectedComponents(const Graph& g);
 /// mirrored arcs as well when the graph is stored as directed arcs.
 Result<Graph> ThetaBoundedProjection(const Graph& g, size_t theta, Rng& rng);
 
+/// Nodes whose in-rows differ between two graphs on the same node set, in
+/// ascending order: v is listed when its in-neighbor ids, or their
+/// weights compared bit for bit, differ. Exactly the rows
+/// RrSketch::Repair must hear about when a sketch of `before` is carried
+/// over to `after`. Fails with InvalidArgument when the node counts
+/// differ and FailedPrecondition when either graph lacks its in-CSR.
+Result<std::vector<NodeId>> ChangedInRows(const Graph& before,
+                                          const Graph& after);
+
 /// Global clustering-style statistic: fraction of length-2 out-paths u->v->w
 /// that are closed by an arc u->w, estimated exactly for small graphs and by
 /// sampling `max_samples` wedges otherwise.

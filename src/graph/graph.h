@@ -269,6 +269,8 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  /// GraphDelta::Compact splices base rows straight into a new CSR.
+  friend class GraphDelta;
 
   /// Counting-sort construction of the in-CSR from the out-CSR.
   void BuildInCsrFromOut(uint64_t narrow_limit);

@@ -1,6 +1,7 @@
 #include "graph/graph_delta.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/string_util.h"
 #include "graph/graph_view.h"
@@ -146,10 +147,10 @@ Status GraphDelta::RemoveNode(NodeId u) {
   return Status::OK();
 }
 
-std::vector<NodeId> GraphDelta::SortedTouchedOut() const {
+std::vector<NodeId> GraphDelta::SortedIds(const RowMap& rows) {
   std::vector<NodeId> ids;
-  ids.reserve(out_.size());
-  for (const auto& [u, row] : out_) ids.push_back(u);
+  ids.reserve(rows.size());
+  for (const auto& [u, row] : rows) ids.push_back(u);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -162,24 +163,94 @@ void GraphDelta::PruneIfEmpty(RowMap& rows, NodeId id) {
   }
 }
 
-Result<Graph> GraphDelta::Compact(const GraphBuildOptions& options) const {
-  GraphBuilder builder(num_nodes());
-  const GraphView view(*base_, this);
-  PRIVIM_RETURN_NOT_OK(builder.AddEdgeStream([&view](EdgeSink& sink) {
-    const size_t n = view.num_nodes();
-    for (size_t u = 0; u < n; ++u) {
-      PRIVIM_RETURN_NOT_OK(view.ForEachOutEdge(
-          static_cast<NodeId>(u), [&sink, u](NodeId v, float w) {
-            return sink.Add(static_cast<NodeId>(u), v, w);
-          }));
+Status GraphDelta::SpliceDirection(bool out_dir, uint64_t narrow_limit,
+                                   Graph& g) const {
+  const Graph& base = *base_;
+  const OffsetArray& base_offsets =
+      out_dir ? base.out_offsets_ : base.in_offsets_;
+  const ArcStorage& base_arcs = out_dir ? base.out_ : base.in_;
+  const RowMap& rows = out_dir ? out_ : in_;
+  const std::vector<NodeId> touched = SortedIds(rows);
+  const size_t n = num_nodes();
+  const size_t base_n = base.num_nodes();
+  // End of base row u - 1 in the base arc arrays; rows past the base
+  // (added nodes) are empty there.
+  const auto base_end = [&base_offsets, base_n](size_t u) -> uint64_t {
+    return base_n == 0 ? 0 : base_offsets[std::min(u, base_n)];
+  };
+
+  // Offsets: each row ends where its base row ends, shifted by the net
+  // growth of the touched rows up to and including it.
+  std::vector<uint64_t> offsets(n + 1);
+  int64_t shift = 0;
+  size_t t = 0;
+  for (size_t u = 0; u < n; ++u) {
+    if (t < touched.size() && touched[t] == u) {
+      const Row& row = rows.find(touched[t])->second;
+      shift += static_cast<int64_t>(row.added.size()) -
+               static_cast<int64_t>(row.removed.size());
+      ++t;
     }
-    return Status::OK();
-  }));
-  GraphBuildOptions opts = options;
-  // The stream pipeline's samplers scan in-rows right after compaction;
-  // building eagerly here is strictly cheaper than a lazy EnsureInCsr.
-  opts.build_in_csr = true;
-  return builder.Build(opts);
+    offsets[u + 1] =
+        static_cast<uint64_t>(static_cast<int64_t>(base_end(u + 1)) + shift);
+  }
+
+  ArcStorage& arcs = out_dir ? g.out_ : g.in_;
+  arcs.Allocate(offsets[n]);
+  // Rows [first, last) are untouched base rows: one contiguous run in
+  // both the base arrays and the new ones.
+  const auto copy_run = [&](size_t first, size_t last) {
+    const uint64_t src = base_end(first);
+    const uint64_t len = base_end(last) - src;
+    if (len == 0) return;
+    std::memcpy(arcs.ids() + offsets[first], base_arcs.ids() + src,
+                static_cast<size_t>(len) * sizeof(NodeId));
+    std::memcpy(arcs.weights() + offsets[first], base_arcs.weights() + src,
+                static_cast<size_t>(len) * sizeof(float));
+  };
+  const GraphView view(base, this);
+  size_t run_begin = 0;
+  for (NodeId u : touched) {
+    copy_run(run_begin, u);
+    uint64_t pos = offsets[u];
+    const uint64_t end = offsets[static_cast<size_t>(u) + 1];
+    // The bound check keeps a broken overlay invariant (a removal that
+    // is not in the base row) from writing past the row.
+    const auto place = [&arcs, &pos, end](NodeId v, float w) -> Status {
+      if (pos == end) return Status::Internal("overlay row overflows");
+      arcs.ids()[pos] = v;
+      arcs.weights()[pos] = w;
+      ++pos;
+      return Status::OK();
+    };
+    PRIVIM_RETURN_NOT_OK(out_dir ? view.ForEachOutEdge(u, place)
+                                 : view.ForEachInEdge(u, place));
+    if (pos != end) {
+      return Status::Internal(StrFormat(
+          "GraphDelta %s-row %u holds %llu arcs, its degree says %llu",
+          out_dir ? "out" : "in", u,
+          static_cast<unsigned long long>(pos - offsets[u]),
+          static_cast<unsigned long long>(end - offsets[u])));
+    }
+    run_begin = static_cast<size_t>(u) + 1;
+  }
+  copy_run(run_begin, n);
+  (out_dir ? g.out_offsets_ : g.in_offsets_)
+      .Adopt(std::move(offsets), narrow_limit);
+  return Status::OK();
+}
+
+Result<Graph> GraphDelta::Compact(const GraphBuildOptions& options) const {
+  Graph g;
+  g.num_nodes_ = num_nodes();
+  PRIVIM_RETURN_NOT_OK(
+      SpliceDirection(/*out_dir=*/true, options.narrow_offset_limit, g));
+  PRIVIM_RETURN_NOT_OK(
+      SpliceDirection(/*out_dir=*/false, options.narrow_offset_limit, g));
+  // The in-CSR was built eagerly, as GraphBuilder's build_in_csr does.
+  g.has_in_csr_ = true;
+  g.in_csr_builds_ = 1;
+  return g;
 }
 
 Status GraphDelta::ResetBase(const Graph& new_base) {

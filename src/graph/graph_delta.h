@@ -14,10 +14,10 @@ namespace privim {
 
 /// Mutable overlay on an immutable CSR `Graph`: absorbs edge/node
 /// insertions and deletions without touching the base arrays, and
-/// periodically compacts back into a fresh CSR through the streaming
-/// two-pass build (`GraphBuilder::AddEdgeStream` — no edge list is ever
-/// materialized, so compaction keeps the 1.2x-of-CSR peak-memory contract
-/// of docs/scale.md).
+/// compacts back into a fresh CSR by splicing: untouched base rows are
+/// copied in runs, touched rows are merged from the overlay, and no edge
+/// list is ever materialized, so compaction keeps the 1.2x-of-CSR
+/// peak-memory contract of docs/scale.md.
 ///
 /// All reads of the mutated graph go through `GraphView` (graph_view.h),
 /// which merges base rows with the overlay in ascending neighbor order —
@@ -112,21 +112,27 @@ class GraphDelta {
   /// fn(u, v, weight) for added arcs, fn(u, v) for removed ones.
   template <typename Fn>
   void ForEachAddedEdge(Fn&& fn) const {
-    for (NodeId u : SortedTouchedOut()) {
+    for (NodeId u : SortedIds(out_)) {
       for (const auto& [v, w] : out_.at(u).added) fn(u, v, w);
     }
   }
   template <typename Fn>
   void ForEachRemovedEdge(Fn&& fn) const {
-    for (NodeId u : SortedTouchedOut()) {
+    for (NodeId u : SortedIds(out_)) {
       for (NodeId v : out_.at(u).removed) fn(u, v);
     }
   }
 
-  /// Builds the merged graph (base + overlay) as a fresh CSR via the
-  /// streaming two-pass build; the overlay itself is left untouched.
-  /// The result always carries its in-CSR (the streaming pipeline's
-  /// samplers need it immediately).
+  /// Builds the merged graph (base + overlay) as a fresh CSR; the overlay
+  /// itself is left untouched. Both directions are spliced: row offsets
+  /// are the base's, shifted by the net growth of the touched rows before
+  /// them; runs of untouched base rows are copied with memcpy; touched
+  /// rows are written by GraphView's merge, whose order is the CSR's. The
+  /// result equals a GraphBuilder::AddEdgeStream build of the view bit
+  /// for bit (arcs, weights, offset width), carries its in-CSR (the
+  /// streaming pipeline's samplers need it immediately; in_csr_builds()
+  /// reads 1, as after an eager build), and costs O(nodes + arcs copied)
+  /// with no sort. `options.build_in_csr` is ignored.
   Result<Graph> Compact() const { return Compact(GraphBuildOptions{}); }
   Result<Graph> Compact(const GraphBuildOptions& options) const;
 
@@ -144,9 +150,12 @@ class GraphDelta {
   }
 
   Status ValidateEndpoints(NodeId u, NodeId v) const;
-  /// Touched out-row ids in ascending order (deterministic iteration over
-  /// the unordered map).
-  std::vector<NodeId> SortedTouchedOut() const;
+  /// Touched row ids of `rows` in ascending order (deterministic
+  /// iteration over the unordered map).
+  static std::vector<NodeId> SortedIds(const RowMap& rows);
+  /// Compact's per-direction splice: fills `g`'s out- (`out_dir`) or
+  /// in-adjacency from the base's and the overlay's matching rows.
+  Status SpliceDirection(bool out_dir, uint64_t narrow_limit, Graph& g) const;
 
   /// Drops `id`'s map entry if it became empty (keeps the touched-row
   /// predicate exact, which the invalidation pass depends on).

@@ -170,6 +170,21 @@ Result<size_t> RrSketch::Repair(const GraphView& g,
   return dirty.size();
 }
 
+Result<RrSketch> RrSketch::Repaired(const GraphView& g,
+                                   std::span<const NodeId> changed_in_rows,
+                                   size_t num_threads,
+                                   size_t& sets_rebuilt) const {
+  RrSketch copy;
+  copy.num_nodes_ = num_nodes_;
+  copy.stream_base_ = stream_base_;
+  copy.sets_ = sets_;
+  PRIVIM_ASSIGN_OR_RETURN(sets_rebuilt,
+                          copy.Repair(g, changed_in_rows, num_threads));
+  // Repair rebuilds the index only when a set changed.
+  if (sets_rebuilt == 0) copy.RebuildInvertedIndex();
+  return copy;
+}
+
 double RrSketch::EstimateSpread(const std::vector<NodeId>& seeds) const {
   PRIVIM_CHECK_GT(sets_.size(), 0u);
   std::vector<uint8_t> covered(sets_.size(), 0);

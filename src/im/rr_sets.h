@@ -70,6 +70,16 @@ class RrSketch {
                         std::span<const NodeId> changed_in_rows,
                         size_t num_threads = 0);
 
+  /// Repair applied to a copy: a new sketch holding this one's sets
+  /// repaired against `g`, equal to copying this sketch and calling
+  /// Repair(g, changed_in_rows), but without copying the inverted index,
+  /// which the copy rebuilds from its sets. `sets_rebuilt` receives
+  /// Repair's count. The serving layer's swap path: the published sketch
+  /// stays immutable while its successor is built.
+  Result<RrSketch> Repaired(const GraphView& g,
+                            std::span<const NodeId> changed_in_rows,
+                            size_t num_threads, size_t& sets_rebuilt) const;
+
   /// The substream base key this sketch's sets were drawn from
   /// (checkpointed by the stream pipeline; feed back into Regenerate).
   uint64_t stream_base() const { return stream_base_; }

@@ -31,7 +31,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromModel(
                           FromModel(std::move(model), *graph));
   // The const_cast is confined to construction: the snapshot was created
   // two lines up and has no other owner yet.
-  const_cast<ModelSnapshot&>(*snap).graph_ = std::move(graph);
+  const_cast<ModelSnapshot&>(*snap).owned_graph_ = std::move(graph);
   return snap;
 }
 
@@ -60,34 +60,43 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromModel(
   // after this function, so a plain new behind a shared_ptr is fine.
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->id_ = NextSnapshotId();
+  snap->num_nodes_ = graph.num_nodes();
+  snap->graph_ = &graph;
   snap->model_ = std::move(model);
-  snap->ctx_ = BuildGraphContext(graph);
-  snap->features_ = BuildNodeFeatures(graph);
-  snap->flat_params_.resize(snap->model_->params().num_scalars());
-  snap->model_->params().FlattenParams(snap->flat_params_);
-  // Rank by pre-sigmoid logits, mirroring RunMethod's inference: identical
-  // ordering to the probabilities but immune to float32 sigmoid
-  // saturation at the top of the ranking.
-  // Serving is inference-only, so the logits plan takes the optimized
-  // (fused + SIMD) compile: the ranking is still a deterministic function
-  // of the snapshot, just not bit-identical to the tape
-  // (docs/performance.md tolerance contract). PRIVIM_FORCE_ISA=scalar
-  // restores the reference kernels.
-  PlanBuilder pb;
-  const PlanValId x =
-      pb.Input(snap->ctx_.num_nodes, snap->model_->config().in_dim);
-  snap->logits_plan_ = pb.Build(snap->model_->LowerLogits(pb, snap->ctx_, x),
-                                PlanOptions::Native());
   return std::shared_ptr<const ModelSnapshot>(std::move(snap));
+}
+
+const ModelSnapshot::Inference& ModelSnapshot::inference() const {
+  std::call_once(inference_once_, [this] {
+    Inference& inf = inference_;
+    inf.ctx = BuildGraphContext(*graph_);
+    inf.features = BuildNodeFeatures(*graph_);
+    inf.flat_params.resize(model_->params().num_scalars());
+    model_->params().FlattenParams(inf.flat_params);
+    // Rank by pre-sigmoid logits, mirroring RunMethod's inference:
+    // identical ordering to the probabilities but immune to float32
+    // sigmoid saturation at the top of the ranking.
+    // Serving is inference-only, so the logits plan takes the optimized
+    // (fused + SIMD) compile: the ranking is still a deterministic
+    // function of the snapshot, just not bit-identical to the tape
+    // (docs/performance.md tolerance contract). PRIVIM_FORCE_ISA=scalar
+    // restores the reference kernels.
+    PlanBuilder pb;
+    const PlanValId x = pb.Input(inf.ctx.num_nodes, model_->config().in_dim);
+    inf.plan = pb.Build(model_->LowerLogits(pb, inf.ctx, x),
+                        PlanOptions::Native());
+  });
+  return inference_;
 }
 
 const SeedRanking& ModelSnapshot::ranking() const {
   std::call_once(ranking_once_, [this] {
+    const Inference& inf = inference();
     // The arena lives only for this one forward: the stored ranking is
     // all later queries read.
     PlanArena arena;
-    logits_plan_.Forward(flat_params_, features_, arena);
-    const std::span<const float> logits = logits_plan_.Output(arena);
+    inf.plan.Forward(inf.flat_params, inf.features, arena);
+    const std::span<const float> logits = inf.plan.Output(arena);
     SeedRanking& r = ranking_;
     r.logits.assign(logits.begin(), logits.end());
     r.order.resize(r.logits.size());

@@ -40,38 +40,46 @@ struct SeedRanking {
 /// Snapshots are the unit of hot swap. The Server publishes the current
 /// snapshot behind a shared_ptr (RCU style): workers take a reference per
 /// batch, queries in flight keep the old version alive after a swap, and
-/// the last reference releases it. Everything here is written once and
-/// only read afterwards, so concurrent query execution needs no further
-/// synchronization.
+/// the last reference releases it.
 ///
-/// The ranking is the one piece written after construction: ranking()
-/// computes it on its first call, behind std::call_once, with one forward
-/// of the logits plan in a temporary arena and one sort. Concurrent first
-/// callers wait for that single computation; every later call reads the
-/// stored result. Lazy rather than in FromModel because a snapshot that
-/// never answers a top-k query (a stream publishing every batch beside
-/// spread-only traffic) then never pays for inference. The model cannot
-/// change within a snapshot, so ranking once is exactly as good as ranking
-/// per query — and, inference being post-processing of the released
-/// parameters, it spends no privacy budget either way.
+/// Construction only validates and stores: FromModel checks the model and
+/// the graph, keeps the model and a reference to the graph, and returns.
+/// The inference state (context, features, flat parameters, plan) is
+/// derived on the first call to features(), logits_plan(), flat_params()
+/// or ranking(), behind std::call_once; the ranking is one forward of
+/// that plan in a temporary arena plus one sort, behind a second
+/// std::call_once. Concurrent first callers wait for the single
+/// computation, and every later call reads the stored result, so
+/// concurrent query execution needs no further synchronization. Lazy
+/// because a snapshot that never answers a top-k query (a stream
+/// publishing every batch beside spread-only traffic) then never pays for
+/// inference. The model cannot change within a snapshot, so deriving once
+/// is exactly as good as deriving per query — and, inference being
+/// post-processing of the released parameters, it spends no privacy
+/// budget either way.
 ///
-/// A snapshot is compiled against ONE resident graph (the plan embeds the
-/// graph's edge structure); `num_nodes()` is validated by the Server at
-/// swap time.
+/// A snapshot is compiled against ONE graph (the plan embeds the graph's
+/// edge structure); `num_nodes()` is validated by the Server at swap
+/// time. Because the graph is read on first use, not at construction, it
+/// must stay alive and unmodified until the inference state is built:
+/// the borrowed-graph FromModel overload requires the caller to keep the
+/// graph alive for the snapshot's lifetime.
 ///
-/// Dynamic graphs: a snapshot may additionally OWN the graph it was
-/// compiled against (the graph-owning FromModel overload). That is the
-/// unit the streaming pipeline publishes — graph and model swap together,
+/// Dynamic graphs: a snapshot may instead OWN the graph it is compiled
+/// against (the graph-owning FromModel overload). That is the unit the
+/// streaming pipeline publishes — graph and model swap together,
 /// atomically, through Server::SwapGraphAndSnapshot, and the retired
 /// graph stays alive exactly as long as in-flight queries still hold the
 /// retired snapshot (docs/streaming.md).
 class ModelSnapshot {
  public:
   /// Builds a servable snapshot from a loaded model. Fails with
+  /// InvalidArgument on a null model or an empty graph, and with
   /// FailedPrecondition when the model's input width does not match the
-  /// structural feature dim of `graph` (kNodeFeatureDim). The snapshot
-  /// borrows `graph` (owned_graph() stays null); the caller keeps it
-  /// alive — the Server's original static-graph contract.
+  /// structural feature dim (kNodeFeatureDim) or `graph` lacks its
+  /// in-CSR. The snapshot borrows `graph` (owned_graph() stays null) and
+  /// reads it on first use: the caller keeps it alive, unmodified, for the
+  /// snapshot's lifetime — the Server's original static-graph contract.
   static Result<std::shared_ptr<const ModelSnapshot>> FromModel(
       std::unique_ptr<GnnModel> model, const Graph& graph);
 
@@ -80,8 +88,8 @@ class ModelSnapshot {
   static Result<std::shared_ptr<const ModelSnapshot>> FromModel(
       std::unique_ptr<GnnModel> model, std::shared_ptr<const Graph> graph);
 
-  /// One-call restore-and-compile: LoadModel(path) + FromModel. Error
-  /// statuses name `path` and hint at version/artifact mismatches
+  /// One-call restore: LoadModel(path) + the borrowed-graph FromModel.
+  /// Error statuses name `path` and hint at version/artifact mismatches
   /// (nn/serialization.h).
   static Result<std::shared_ptr<const ModelSnapshot>> Load(
       const std::string& path, const Graph& graph);
@@ -92,7 +100,7 @@ class ModelSnapshot {
   uint64_t id() const { return id_; }
 
   /// Node count of the graph this snapshot was compiled against.
-  size_t num_nodes() const { return features_.rows(); }
+  size_t num_nodes() const { return num_nodes_; }
 
   const GnnModel& model() const { return *model_; }
 
@@ -102,26 +110,39 @@ class ModelSnapshot {
 
   /// Compiled plan producing the [num_nodes, 1] pre-sigmoid seed logits —
   /// the source of ranking(). Read-only; execute with flat_params() /
-  /// features() and a caller-owned arena.
-  const GnnPlan& logits_plan() const { return logits_plan_; }
-
-  std::span<const float> flat_params() const { return flat_params_; }
-  const Matrix& features() const { return features_; }
+  /// features() and a caller-owned arena. This and the two accessors
+  /// below build the inference state on first use. Thread-safe.
+  const GnnPlan& logits_plan() const { return inference().plan; }
+  std::span<const float> flat_params() const {
+    return inference().flat_params;
+  }
+  const Matrix& features() const { return inference().features; }
 
   /// The graph this snapshot keeps alive, or null when it was built
   /// against a borrowed graph (the static-serving path).
-  const std::shared_ptr<const Graph>& owned_graph() const { return graph_; }
+  const std::shared_ptr<const Graph>& owned_graph() const {
+    return owned_graph_;
+  }
 
  private:
+  /// What inference over the graph derives from the model, built once.
+  struct Inference {
+    GraphContext ctx;  // The plan borrows ctx's edge vectors.
+    Matrix features;
+    std::vector<float> flat_params;
+    GnnPlan plan;
+  };
+
   ModelSnapshot() = default;
+  const Inference& inference() const;
 
   uint64_t id_ = 0;
-  std::shared_ptr<const Graph> graph_;
+  size_t num_nodes_ = 0;
+  const Graph* graph_ = nullptr;  // Borrowed, or owned_graph_.get().
+  std::shared_ptr<const Graph> owned_graph_;
   std::unique_ptr<GnnModel> model_;
-  GraphContext ctx_;  // The plan borrows ctx_'s edge vectors.
-  Matrix features_;
-  std::vector<float> flat_params_;
-  GnnPlan logits_plan_;
+  mutable std::once_flag inference_once_;
+  mutable Inference inference_;  // Written once, under inference_once_.
   mutable std::once_flag ranking_once_;
   mutable SeedRanking ranking_;  // Written once, under ranking_once_.
 };

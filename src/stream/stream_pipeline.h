@@ -120,9 +120,10 @@ class StreamPipeline {
   /// Save commits; exposed for the bit-identity tests).
   StreamState ExportState() const;
 
-  /// Compacts the current graph and compiles the current model against it
-  /// into a graph-owning ModelSnapshot — the unit
-  /// Server::SwapGraphAndSnapshot publishes.
+  /// Compacts the current graph and binds a copy of the current model to
+  /// it in a graph-owning ModelSnapshot — the unit
+  /// Server::SwapGraphAndSnapshot publishes. The snapshot compiles the
+  /// model only when a query first needs it (serve/snapshot.h).
   Result<std::shared_ptr<const ModelSnapshot>> MakeServingSnapshot() const;
 
   /// MakeServingSnapshot + SwapGraphAndSnapshot: hot-swaps graph and

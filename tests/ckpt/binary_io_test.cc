@@ -7,11 +7,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "ckpt/stream_state.h"
 
 namespace privim {
 namespace {
@@ -199,6 +204,168 @@ TEST(BinaryIoTest, Fnv1aIsStableAndSeedSensitive) {
   EXPECT_EQ(a, Fnv1a(bytes));
   EXPECT_NE(a, Fnv1a(bytes, /*seed=*/123));
   EXPECT_NE(a, Fnv1a(std::vector<uint8_t>{1, 2, 3}));
+}
+
+// Hostile lengths: a file with a valid magic, version, kind and checksum
+// (FNV-1a is no MAC, so a forged file passes it) whose count field claims
+// 2^62 entries. Every reader must return a Status naming the field before
+// it sizes anything from the count; the parent build died in reserve()
+// with std::length_error.
+constexpr uint64_t kHostileCount = uint64_t{1} << 62;
+
+void ExpectRefusal(const Status& s, const std::string& field) {
+  EXPECT_FALSE(s.ok()) << field;
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  EXPECT_NE(s.message().find(field), std::string::npos) << s.ToString();
+}
+
+TEST(BinaryIoTest, HostileVectorLengthFailsBeforeAllocating) {
+  const std::string path = TempPath("privim_binio_hostile_len.bin");
+  BinaryWriter w(kVersion, kKind);
+  w.WriteU64(kHostileCount);
+  w.WriteDouble(1.0);  // A few real bytes after the length.
+  ASSERT_TRUE(w.Commit(path).ok());
+  using Read = std::function<Status(BinaryReader&)>;
+  const std::vector<std::pair<std::string, Read>> readers = {
+      {"float-vector length",
+       [](BinaryReader& r) { return r.ReadFloatVec().status(); }},
+      {"double-vector length",
+       [](BinaryReader& r) { return r.ReadDoubleVec().status(); }},
+      {"u64-vector length",
+       [](BinaryReader& r) { return r.ReadU64Vec().status(); }},
+      {"u64-vector length",
+       [](BinaryReader& r) { return r.ReadSizeVec().status(); }},
+      {"u32-vector length",
+       [](BinaryReader& r) { return r.ReadU32Vec().status(); }},
+  };
+  for (const auto& [field, read] : readers) {
+    BinaryReader r =
+        std::move(BinaryReader::Open(path, kVersion, kKind)).ValueOrDie();
+    ExpectRefusal(read(r), field);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, CountThatFitsExactlyIsAccepted) {
+  const std::string path = TempPath("privim_binio_exact_count.bin");
+  BinaryWriter w(kVersion, kKind);
+  w.WriteU32(5);
+  w.WriteU32(6);
+  ASSERT_TRUE(w.Commit(path).ok());
+  BinaryReader r =
+      std::move(BinaryReader::Open(path, kVersion, kKind)).ValueOrDie();
+  EXPECT_TRUE(r.CheckCount(2, sizeof(uint32_t), "pair").ok());
+  EXPECT_FALSE(r.CheckCount(3, sizeof(uint32_t), "pair").ok());
+  std::remove(path.c_str());
+}
+
+// The stream-state envelope (ckpt/stream_state.cc): version 1, kind 3.
+constexpr uint32_t kStreamVersion = 1;
+constexpr uint32_t kStreamKind = 3;
+
+/// Writes a stream-state payload whose fields are valid up to the count
+/// named by `hostile` ("event log", "accountant rounds" or "history
+/// rows"), which claims kHostileCount entries.
+std::string WriteHostileStreamState(const std::string& hostile) {
+  const std::string path = TempPath("privim_stream_hostile.ckpt");
+  BinaryWriter w(kStreamVersion, kStreamKind);
+  w.WriteU64(7);  // fingerprint
+  w.WriteU64(2);  // batches_applied
+  w.WriteU64(hostile == "event log" ? kHostileCount : 0);
+  w.WriteDouble(1e-5);                      // accountant delta
+  w.WriteDoubleVec(std::vector<double>{});  // gamma totals
+  w.WriteU64(hostile == "accountant rounds" ? kHostileCount : 0);
+  w.WriteU64(0);  // arcs_at_train
+  w.WriteU64(0);  // changed_since_train
+  w.WriteU64(0);  // batches_since_train
+  w.WriteU32Vec(std::vector<uint32_t>{});
+  w.WriteDoubleVec(std::vector<double>{});
+  w.WriteU8(0);  // has_model
+  w.WriteFloatVec(std::vector<float>{});
+  w.WriteU64(0);  // sketch stream base
+  w.WriteU64(0);  // sketch sets
+  w.WriteU64(hostile == "history rows" ? kHostileCount : 0);
+  EXPECT_TRUE(w.Commit(path).ok());
+  return path;
+}
+
+TEST(StreamStateHostileTest, HostileCountsFailNamingTheField) {
+  for (const std::string field :
+       {"event log", "accountant rounds", "history rows"}) {
+    const std::string path = WriteHostileStreamState(field);
+    ExpectRefusal(LoadStreamState(path).status(), field);
+    std::remove(path.c_str());
+  }
+  // Control: the same payload with no hostile count loads.
+  const std::string path = WriteHostileStreamState("");
+  EXPECT_TRUE(LoadStreamState(path).ok());
+  std::remove(path.c_str());
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// `file` with its payload cut to `len` bytes and the length and checksum
+/// rewritten, so only the payload's own fields can notice the cut.
+std::vector<uint8_t> ResealCut(const std::vector<uint8_t>& file,
+                               size_t len) {
+  constexpr size_t kHeader = 8 + 4 + 4 + 8;
+  std::vector<uint8_t> out(file.begin(), file.begin() + kHeader + len);
+  const auto put_le = [&out](size_t at, uint64_t v) {
+    for (size_t i = 0; i < 8; ++i) {
+      const uint8_t byte = static_cast<uint8_t>(v >> (8 * i));
+      if (at + i < out.size()) {
+        out[at + i] = byte;
+      } else {
+        out.push_back(byte);
+      }
+    }
+  };
+  put_le(16, len);
+  put_le(out.size(), Fnv1a({out.data() + kHeader, len}));
+  return out;
+}
+
+TEST(StreamStateHostileTest, TruncatedStateFailsAtEveryCut) {
+  StreamState state;
+  state.fingerprint = 0xabc;
+  state.batches_applied = 3;
+  state.event_log = {UpdateEvent{UpdateKind::kAddEdge, 1, 2, 0.5f, 10},
+                     UpdateEvent{UpdateKind::kRemoveNode, 4, 0, 1.0f, 11}};
+  state.accountant.gamma_totals = {0.1, 0.2};
+  state.accountant.rounds.resize(1);
+  state.seeds = {3, 1};
+  state.seed_scores = {0.9, 0.8};
+  state.has_model = 1;
+  state.model_params = {0.25f, -1.0f, 2.0f};
+  state.sketch_sets = 16;
+  state.history.resize(2);
+  const std::string path = TempPath("privim_stream_trunc.ckpt");
+  ASSERT_TRUE(SaveStreamState(state, path).ok());
+  const std::vector<uint8_t> file = FileBytes(path);
+  ASSERT_TRUE(LoadStreamState(path).ok());
+
+  // A plain truncation breaks the envelope.
+  std::filesystem::resize_file(path, file.size() - 5);
+  EXPECT_EQ(LoadStreamState(path).status().code(), StatusCode::kIoError);
+
+  // A resealed cut passes the envelope; the fields must catch it.
+  const size_t payload = file.size() - (8 + 4 + 4 + 8) - 8;
+  for (size_t len = 0; len < payload; ++len) {
+    const std::vector<uint8_t> cut = ResealCut(file, len);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(cut.data()),
+                static_cast<std::streamsize>(cut.size()));
+    }
+    const Status s = LoadStreamState(path).status();
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << "cut at " << len << ": "
+                                              << s.ToString();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

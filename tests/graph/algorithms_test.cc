@@ -138,5 +138,79 @@ TEST(TransitivityTest, PathHasNoTriangles) {
   EXPECT_LT(t, 1.0);
 }
 
+// ChangedInRows: the in-row diff the serving layer repairs its RR sketch
+// from, so it must name every row whose ids OR weights moved, and no other.
+Graph BuildArcs(size_t n, const std::vector<Edge>& arcs,
+                bool in_csr = true) {
+  GraphBuilder b(n);
+  for (const Edge& e : arcs) EXPECT_TRUE(b.AddEdge(e.src, e.dst, e.weight).ok());
+  GraphBuildOptions opts;
+  opts.build_in_csr = in_csr;
+  return std::move(b.Build(opts)).ValueOrDie();
+}
+
+const std::vector<Edge> kDiffArcs = {
+    {0, 1, 0.5f}, {1, 2, 0.25f}, {2, 3, 1.0f}, {3, 0, 0.75f}, {0, 2, 0.1f}};
+
+std::vector<NodeId> Diff(const Graph& a, const Graph& b) {
+  return std::move(ChangedInRows(a, b)).ValueOrDie();
+}
+
+TEST(ChangedInRowsTest, EqualGraphsDifferNowhere) {
+  const Graph a = BuildArcs(5, kDiffArcs);
+  const Graph b = BuildArcs(5, kDiffArcs);
+  EXPECT_TRUE(Diff(a, b).empty());
+  EXPECT_TRUE(Diff(a, a).empty());
+}
+
+TEST(ChangedInRowsTest, AddedAndRemovedArcsMarkTheirHeads) {
+  std::vector<Edge> arcs = kDiffArcs;
+  arcs.push_back({4, 1, 0.5f});  // Into node 1.
+  arcs.erase(arcs.begin() + 2);  // 2 -> 3 gone: node 3's in-row.
+  const Graph a = BuildArcs(5, kDiffArcs);
+  const Graph b = BuildArcs(5, arcs);
+  EXPECT_EQ(Diff(a, b), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(Diff(b, a), (std::vector<NodeId>{1, 3}));
+}
+
+TEST(ChangedInRowsTest, WeightOnlyChangeIsAChange) {
+  std::vector<Edge> arcs = kDiffArcs;
+  arcs[4].weight = 0.2f;  // 0 -> 2 keeps its endpoints, not its weight.
+  const Graph a = BuildArcs(5, kDiffArcs);
+  const Graph b = BuildArcs(5, arcs);
+  EXPECT_EQ(Diff(a, b), (std::vector<NodeId>{2}));
+  // Bit for bit: -0 and +0 compare equal as floats but differ as bits.
+  std::vector<Edge> zero = kDiffArcs, neg_zero = kDiffArcs;
+  zero[0].weight = 0.0f;
+  neg_zero[0].weight = -0.0f;
+  EXPECT_EQ(Diff(BuildArcs(5, zero), BuildArcs(5, neg_zero)),
+            (std::vector<NodeId>{1}));
+}
+
+TEST(ChangedInRowsTest, SameIdsInAnotherRowOrderDoNotHide) {
+  // Node 3's in-row {2} becomes {1}: same length, different source.
+  std::vector<Edge> arcs = kDiffArcs;
+  arcs[2] = {1, 3, 1.0f};
+  EXPECT_EQ(Diff(BuildArcs(5, kDiffArcs), BuildArcs(5, arcs)),
+            (std::vector<NodeId>{3}));
+}
+
+TEST(ChangedInRowsTest, ArcFreeGraphs) {
+  EXPECT_TRUE(Diff(BuildArcs(3, {}), BuildArcs(3, {})).empty());
+  EXPECT_EQ(Diff(BuildArcs(3, {}), BuildArcs(3, {{0, 2, 0.5f}})),
+            (std::vector<NodeId>{2}));
+}
+
+TEST(ChangedInRowsTest, RejectsMismatchedGraphs) {
+  const Graph a = BuildArcs(5, kDiffArcs);
+  Result<std::vector<NodeId>> sizes = ChangedInRows(a, BuildArcs(6, kDiffArcs));
+  ASSERT_FALSE(sizes.ok());
+  EXPECT_EQ(sizes.status().code(), StatusCode::kInvalidArgument);
+  Result<std::vector<NodeId>> no_in =
+      ChangedInRows(a, BuildArcs(5, kDiffArcs, /*in_csr=*/false));
+  ASSERT_FALSE(no_in.ok());
+  EXPECT_EQ(no_in.status().code(), StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace privim

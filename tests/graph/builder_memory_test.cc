@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/graph_delta.h"
 
 // ---- Byte-tracking allocator. ----
 
@@ -203,6 +204,46 @@ TEST(BuilderMemoryTest, StreamingBuildBeatsBufferedBuild) {
   // builds produce the same graph, so src's footprint stands in for it.
   EXPECT_GT(static_cast<double>(buffered_peak),
             1.25 * static_cast<double>(src.MemoryFootprintBytes()));
+}
+
+TEST(BuilderMemoryTest, CompactionPeaksWithinFinalFootprint) {
+  // GraphDelta::Compact splices base rows into a fresh CSR: besides the
+  // graph it returns, it holds only one direction's u64 offset table
+  // (and its narrowed copy) at a time.
+  Rng rng(4321);
+  const double p = kAvgOutDegree / static_cast<double>(kNodes - 1);
+  Graph base =
+      std::move(ErdosRenyi(kNodes, p, /*directed=*/true, rng)).ValueOrDie();
+  ASSERT_TRUE(base.EnsureInCsr().ok());
+  GraphDelta delta(base);
+  Rng mut(4322);
+  for (int i = 0; i < 4000; ++i) {
+    const NodeId u = static_cast<NodeId>(mut.UniformInt(kNodes));
+    const NodeId v = static_cast<NodeId>(mut.UniformInt(kNodes));
+    if (u == v) continue;
+    if (i % 2 == 0) {
+      (void)delta.AddEdge(u, v, static_cast<float>(mut.Uniform()));
+    } else if (base.OutDegree(u) > 0) {
+      (void)delta.RemoveEdge(u, base.OutNeighbors(u)[0]);
+    }
+  }
+  ASSERT_TRUE(delta.AddNode().ok());
+  ASSERT_GT(delta.removed_arcs(), 0u);
+
+  int64_t peak = 0;
+  Graph g;
+  {
+    PeakWindow window;
+    Result<Graph> r = delta.Compact();
+    peak = window.PeakDelta();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    g = std::move(r).ValueOrDie();
+  }
+  const double footprint = static_cast<double>(g.MemoryFootprintBytes());
+  const double ratio = static_cast<double>(peak) / footprint;
+  EXPECT_LE(ratio, 1.2) << "compaction peaked at " << peak
+                        << " bytes for a " << footprint << "-byte graph";
+  EXPECT_GE(ratio, 0.99);
 }
 
 }  // namespace

@@ -24,6 +24,8 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
+#include "im/rr_sets.h"
 #include "nn/features.h"
 #include "serve/query_engine.h"
 #include "serve/server.h"
@@ -73,6 +75,48 @@ struct Expected {
   double spread = 0.0;
 };
 
+/// `kClients` threads each send `per_client` queries, cycling through
+/// `variants`, and check every response against `expected[snapshot id]`.
+/// Returns each client's first failure ("" when it had none).
+std::vector<std::string> QueryFromClients(
+    Server& server, const std::vector<QueryRequest>& variants,
+    const std::map<uint64_t, std::vector<Expected>>& expected,
+    size_t per_client) {
+  constexpr size_t kClients = 4;
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      QueryResponse resp;
+      for (size_t i = 0; i < per_client; ++i) {
+        const size_t v = (c + i) % variants.size();
+        const Status s = server.Query(variants[v], resp);
+        if (!s.ok()) {
+          failures[c] = "query failed: " + s.ToString();
+          return;
+        }
+        const auto it = expected.find(resp.snapshot_id);
+        if (it == expected.end()) {
+          failures[c] = "response from unknown snapshot id " +
+                        std::to_string(resp.snapshot_id);
+          return;
+        }
+        const Expected& want = it->second[v];
+        if (resp.seeds != want.seeds || resp.values != want.values ||
+            resp.spread != want.spread) {
+          failures[c] = "response diverged from snapshot " +
+                        std::to_string(resp.snapshot_id) +
+                        "'s deterministic answer (variant " +
+                        std::to_string(v) + ")";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  return failures;
+}
+
 void TortureAt(size_t num_threads) {
   Rng graph_rng(77);
   Graph g = std::move(ErdosRenyi(60, 0.1, true, graph_rng)).ValueOrDie();
@@ -116,44 +160,13 @@ void TortureAt(size_t num_threads) {
     }
   });
 
-  constexpr size_t kClients = 4;
-  constexpr size_t kQueriesPerClient = 50;
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      QueryResponse resp;
-      for (size_t i = 0; i < kQueriesPerClient; ++i) {
-        const size_t v = (c + i) % variants.size();
-        const Status s = server.Query(variants[v], resp);
-        if (!s.ok()) {
-          failures[c] = "query failed: " + s.ToString();
-          return;
-        }
-        const auto it = expected.find(resp.snapshot_id);
-        if (it == expected.end()) {
-          failures[c] = "response from unknown snapshot id " +
-                        std::to_string(resp.snapshot_id);
-          return;
-        }
-        const Expected& want = it->second[v];
-        if (resp.seeds != want.seeds || resp.values != want.values ||
-            resp.spread != want.spread) {
-          failures[c] = "response diverged from snapshot " +
-                        std::to_string(resp.snapshot_id) +
-                        "'s deterministic answer (variant " +
-                        std::to_string(v) + ")";
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
+  const std::vector<std::string> failures =
+      QueryFromClients(server, variants, expected, /*per_client=*/50);
   stop_swapping.store(true);
   swapper.join();
   server.Stop();
 
-  for (size_t c = 0; c < kClients; ++c) {
+  for (size_t c = 0; c < failures.size(); ++c) {
     EXPECT_TRUE(failures[c].empty()) << "client " << c << ": "
                                      << failures[c];
   }
@@ -163,6 +176,131 @@ void TortureAt(size_t num_threads) {
 TEST(HotSwapTortureTest, TwoWorkers) { TortureAt(2); }
 
 TEST(HotSwapTortureTest, EightWorkers) { TortureAt(8); }
+
+/// A cycle of graphs on one node set, each a few edits from the last:
+/// arcs added and removed, and one base arc re-added with weight 1 (a
+/// weight-only in-row change that flips most of its draws). Other weights
+/// stay low so RR sets stay local and each swap repairs only part of the
+/// sketch.
+std::vector<std::shared_ptr<const Graph>> GraphCycle(const Graph& base,
+                                                     size_t count) {
+  GraphDelta delta(base);
+  Rng mut(92);
+  std::vector<std::shared_ptr<const Graph>> graphs;
+  for (size_t i = 0; i < count; ++i) {
+    for (int e = 0; e < 6; ++e) {
+      const NodeId u = static_cast<NodeId>(mut.UniformInt(base.num_nodes()));
+      const NodeId v = static_cast<NodeId>(mut.UniformInt(base.num_nodes()));
+      if (u == v) continue;
+      if (!delta.RemoveEdge(u, v).ok()) {
+        EXPECT_TRUE(delta.AddEdge(u, v, 0.2f).ok());
+      }
+    }
+    for (NodeId u = static_cast<NodeId>(i); u < base.num_nodes(); ++u) {
+      if (base.OutDegree(u) == 0) continue;
+      const NodeId v = base.OutNeighbors(u)[0];
+      if (delta.HasEdge(u, v)) EXPECT_TRUE(delta.RemoveEdge(u, v).ok());
+      EXPECT_TRUE(delta.AddEdge(u, v, 1.0f).ok());
+      break;
+    }
+    graphs.push_back(
+        std::make_shared<const Graph>(std::move(delta.Compact()).ValueOrDie()));
+  }
+  return graphs;
+}
+
+/// SwapGraphAndSnapshot under load: a swapper walks the graph cycle while
+/// clients send top-k queries scored by the resident sketch. Each answer
+/// must equal an engine run on the graph, the snapshot and a FRESHLY
+/// generated sketch that its snapshot id names — so every sketch the
+/// swaps repair, including those queried in flight, equals a fresh build.
+void SketchSwapTortureAt(size_t num_threads) {
+  constexpr size_t kSets = 128;
+  Rng graph_rng(91);
+  const Graph unit =
+      std::move(ErdosRenyi(60, 0.08, true, graph_rng)).ValueOrDie();
+  Graph base = std::move(WithUniformWeights(unit, 0.2f)).ValueOrDie();
+  ASSERT_TRUE(base.EnsureInCsr().ok());
+  const std::vector<std::shared_ptr<const Graph>> graphs =
+      GraphCycle(base, 4);
+
+  ServeConfig cfg;
+  cfg.num_threads = num_threads;
+  cfg.queue_capacity = 256;
+  cfg.rr_sketch_sets = kSets;
+  cfg.rr_sketch_seed = 0x5ce7;
+  std::vector<QueryRequest> variants;
+  for (size_t k : {3, 6}) {
+    QueryRequest req;
+    req.type = QueryType::kTopK;
+    req.k = k;
+    req.estimator = SpreadEstimator::kRrSketch;
+    variants.push_back(req);
+  }
+  std::vector<std::shared_ptr<const ModelSnapshot>> snaps;
+  std::map<uint64_t, std::vector<Expected>> expected;
+  {
+    QueryEngine engine;
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      Rng model_rng(300 + i);
+      auto model = std::make_unique<GnnModel>(SmallConfig(), model_rng);
+      snaps.push_back(
+          std::move(ModelSnapshot::FromModel(std::move(model), graphs[i]))
+              .ValueOrDie());
+      Rng sketch_rng(cfg.rr_sketch_seed);
+      const RrSketch fresh = std::move(RrSketch::Generate(
+                                           *graphs[i], kSets, sketch_rng))
+                                 .ValueOrDie();
+      for (const QueryRequest& req : variants) {
+        QueryResponse resp;
+        ASSERT_TRUE(engine.Execute(*graphs[i], snaps[i].get(), &fresh, req,
+                                   resp)
+                        .ok());
+        expected[snaps[i]->id()].push_back(
+            Expected{resp.seeds, resp.values, resp.spread});
+      }
+    }
+  }
+
+  Server server(base, cfg);
+  ASSERT_TRUE(server.SwapGraphAndSnapshot(snaps[0]).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<bool> stop_swapping{false};
+  std::atomic<size_t> swaps{0};
+  std::string swap_failure;
+  std::thread swapper([&] {
+    for (size_t i = 1; !stop_swapping.load(std::memory_order_relaxed); ++i) {
+      const Status s = server.SwapGraphAndSnapshot(snaps[i % snaps.size()]);
+      if (!s.ok()) {
+        swap_failure = s.ToString();
+        return;
+      }
+      swaps.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  const std::vector<std::string> failures =
+      QueryFromClients(server, variants, expected, /*per_client=*/40);
+  stop_swapping.store(true);
+  swapper.join();
+  server.Stop();
+
+  EXPECT_TRUE(swap_failure.empty()) << swap_failure;
+  for (size_t c = 0; c < failures.size(); ++c) {
+    EXPECT_TRUE(failures[c].empty()) << "client " << c << ": "
+                                     << failures[c];
+  }
+  EXPECT_GT(swaps.load(), 0u);
+}
+
+TEST(HotSwapTortureTest, SketchRepairedAcrossGraphSwapsTwoWorkers) {
+  SketchSwapTortureAt(2);
+}
+
+TEST(HotSwapTortureTest, SketchRepairedAcrossGraphSwapsFourWorkers) {
+  SketchSwapTortureAt(4);
+}
 
 TEST(HotSwapTortureTest, InFlightQueriesKeepOldSnapshotAlive) {
   // Structural variant of the refcount contract: after a swap, the old

@@ -228,5 +228,73 @@ TEST(TopKOracleTest, ConcurrentFirstQueriesShareOneRanking) {
   }
 }
 
+TEST(TopKOracleTest, ConcurrentFirstAccessorsShareOneInferenceBuild) {
+  // A snapshot derives its inference state on first use. Eight threads
+  // make their first call on a fresh snapshot at once, each through one
+  // of features(), logits_plan() and ranking(); all must see one build
+  // (the same storage), and that build must equal an independent
+  // derivation: BuildNodeFeatures, the model's own parameters, and the
+  // oracle's ranking.
+  const Graph g = TestGraph();
+  const auto snap = MakeSnapshot(g, 16);
+  struct Seen {
+    const float* features = nullptr;
+    const GnnPlan* plan = nullptr;
+    const float* params = nullptr;
+    const uint32_t* order = nullptr;
+  };
+  constexpr size_t kThreads = 8;
+  std::vector<Seen> seen(kThreads);
+  std::atomic<size_t> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      Seen& mine = seen[t];
+      switch (t % 3) {
+        case 0:
+          mine.features = snap->features().data();
+          break;
+        case 1:
+          mine.plan = &snap->logits_plan();
+          break;
+        default:
+          mine.order = snap->ranking().order.data();
+          break;
+      }
+      mine.features = snap->features().data();
+      mine.plan = &snap->logits_plan();
+      mine.params = snap->flat_params().data();
+      mine.order = snap->ranking().order.data();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t].features, seen[0].features) << t;
+    EXPECT_EQ(seen[t].plan, seen[0].plan) << t;
+    EXPECT_EQ(seen[t].params, seen[0].params) << t;
+    EXPECT_EQ(seen[t].order, seen[0].order) << t;
+  }
+
+  const Matrix features = BuildNodeFeatures(g);
+  ASSERT_EQ(snap->features().rows(), features.rows());
+  ASSERT_EQ(snap->features().cols(), features.cols());
+  EXPECT_EQ(std::memcmp(snap->features().data(), features.data(),
+                        features.rows() * features.cols() * sizeof(float)),
+            0);
+  Rng rng(16);
+  GnnModel twin(SmallConfig(), rng);
+  std::vector<float> params(twin.params().num_scalars());
+  twin.params().FlattenParams(params);
+  ASSERT_EQ(snap->flat_params().size(), params.size());
+  EXPECT_EQ(std::memcmp(snap->flat_params().data(), params.data(),
+                        params.size() * sizeof(float)),
+            0);
+  const SeedRanking& r = snap->ranking();
+  EXPECT_EQ(std::vector<NodeId>(r.order.begin(), r.order.end()),
+            Oracle(g, *snap, TopK(g.num_nodes())).seeds);
+}
+
 }  // namespace
 }  // namespace privim

@@ -6,6 +6,10 @@
 #include "graph/graph_delta.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -180,6 +184,159 @@ TEST(GraphDeltaTest, ViewMatchesCompactedGraph) {
   EXPECT_EQ(delta.num_edges(), compacted.num_edges());
   GraphView rebased(compacted, &delta);
   EXPECT_EQ(ArcsOf(rebased), ArcsOf(compacted));
+}
+
+// Compact() splices rows; these cases hold it to two oracles. A
+// GraphBuilder::AddEdgeStream build of the same view builds the CSR in
+// its own way (a counting sort for the out-rows, in-rows derived from
+// them) and must equal the splice bit for bit: ids, weights, offset width
+// and in_csr_builds(). Both read the view's merge, so a plain std::map of
+// arcs, mutated beside the delta, must also equal the compacted arcs.
+using ArcMap = std::map<std::pair<NodeId, NodeId>, float>;
+
+Graph OracleBuild(const GraphView& view, const GraphBuildOptions& opts) {
+  GraphBuilder b(view.num_nodes());
+  EXPECT_TRUE(b.AddEdgeStream([&view](EdgeSink& sink) {
+                 return view.ForEachEdge([&sink](NodeId u, NodeId v, float w) {
+                   return sink.Add(u, v, w);
+                 });
+               }).ok());
+  return std::move(b.Build(opts)).ValueOrDie();
+}
+
+template <typename T>
+bool SameBits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+void ExpectSameCsr(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  ASSERT_TRUE(got.has_in_csr());
+  EXPECT_EQ(got.in_csr_builds(), want.in_csr_builds());
+  // Equal footprints: same arc storage and the same offset width.
+  EXPECT_EQ(got.MemoryFootprintBytes(), want.MemoryFootprintBytes());
+  for (NodeId u = 0; u < got.num_nodes(); ++u) {
+    EXPECT_TRUE(SameBits(got.OutNeighbors(u), want.OutNeighbors(u))) << u;
+    EXPECT_TRUE(SameBits(got.OutWeights(u), want.OutWeights(u))) << u;
+    EXPECT_TRUE(SameBits(got.InNeighbors(u), want.InNeighbors(u))) << u;
+    EXPECT_TRUE(SameBits(got.InWeights(u), want.InWeights(u))) << u;
+  }
+}
+
+void ExpectArcs(const Graph& g, const ArcMap& model) {
+  ArcMap got;
+  g.ForEachEdge([&got](NodeId u, NodeId v, float w) { got[{u, v}] = w; });
+  EXPECT_EQ(got, model);
+}
+
+/// Compacts `delta` with the default and with a zero offset limit (the
+/// 64-bit offset path) and holds both to the oracles.
+void ExpectCompactMatchesOracles(const GraphDelta& delta,
+                                 const ArcMap& model) {
+  const GraphView view(delta.base(), &delta);
+  std::vector<size_t> footprints;
+  for (uint64_t limit : {uint64_t{0xFFFFFFFF}, uint64_t{0}}) {
+    GraphBuildOptions opts;
+    opts.narrow_offset_limit = limit;
+    const Graph got = std::move(delta.Compact(opts)).ValueOrDie();
+    ExpectSameCsr(got, OracleBuild(view, opts));
+    ExpectArcs(got, model);
+    footprints.push_back(got.MemoryFootprintBytes());
+  }
+  ASSERT_GT(view.num_edges(), 0u);
+  EXPECT_GT(footprints[1], footprints[0])
+      << "the limit must select the 64-bit offsets";
+}
+
+ArcMap ArcMapOf(const Graph& g) {
+  ArcMap m;
+  g.ForEachEdge([&m](NodeId u, NodeId v, float w) { m[{u, v}] = w; });
+  return m;
+}
+
+TEST(GraphDeltaCompactTest, EmptyOverlayReproducesTheBase) {
+  Rng rng(0xC0);
+  Graph base = std::move(WattsStrogatz(50, 4, 0.3, rng)).ValueOrDie();
+  ASSERT_TRUE(base.EnsureInCsr().ok());
+  const GraphDelta delta(base);
+  ExpectCompactMatchesOracles(delta, ArcMapOf(base));
+}
+
+TEST(GraphDeltaCompactTest, RandomMutationMixesMatchOracles) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(0xC100 + seed);
+    Graph base =
+        std::move(ErdosRenyi(70, 0.08, /*directed=*/true, rng)).ValueOrDie();
+    ASSERT_TRUE(base.EnsureInCsr().ok());
+    GraphDelta delta(base);
+    ArcMap model = ArcMapOf(base);
+    const std::vector<std::pair<NodeId, NodeId>> base_arcs = [&] {
+      std::vector<std::pair<NodeId, NodeId>> v;
+      for (const auto& [arc, w] : model) v.push_back(arc);
+      return v;
+    }();
+
+    Rng mut(0xC200 + seed);
+    const int ops = 40 + 60 * static_cast<int>(seed);
+    for (int i = 0; i < ops; ++i) {
+      const double pick = mut.Uniform();
+      const size_t n = delta.num_nodes();
+      if (pick < 0.03) {
+        ASSERT_TRUE(delta.AddNode().ok());
+      } else if (pick < 0.06) {
+        const NodeId u = static_cast<NodeId>(mut.UniformInt(n));
+        ASSERT_TRUE(delta.RemoveNode(u).ok());
+        for (auto it = model.begin(); it != model.end();) {
+          it = (it->first.first == u || it->first.second == u)
+                   ? model.erase(it)
+                   : std::next(it);
+        }
+      } else if (pick < 0.3) {
+        // Re-add a base arc, removing it first when it is still visible:
+        // the overlay keeps the base copy masked and carries a new weight.
+        const auto [u, v] = base_arcs[mut.UniformInt(base_arcs.size())];
+        if (delta.HasEdge(u, v)) ASSERT_TRUE(delta.RemoveEdge(u, v).ok());
+        const float w = static_cast<float>(mut.Uniform());
+        ASSERT_TRUE(delta.AddEdge(u, v, w).ok());
+        model[{u, v}] = w;
+      } else {
+        const NodeId u = static_cast<NodeId>(mut.UniformInt(n));
+        const NodeId v = static_cast<NodeId>(mut.UniformInt(n));
+        if (u == v) continue;
+        if (mut.Bernoulli(0.55)) {
+          const float w = static_cast<float>(mut.Uniform());
+          if (delta.AddEdge(u, v, w).ok()) model[{u, v}] = w;
+        } else if (delta.RemoveEdge(u, v).ok()) {
+          model.erase({u, v});
+        }
+      }
+    }
+    ASSERT_FALSE(delta.empty());
+    ExpectCompactMatchesOracles(delta, model);
+  }
+}
+
+TEST(GraphDeltaCompactTest, AddedNodesAndIsolationAtTheEdges) {
+  Graph base = MakeBase();
+  GraphDelta delta(base);
+  ArcMap model = ArcMapOf(base);
+  // Rows past the base: one wired in both directions, one left isolated.
+  ASSERT_TRUE(delta.AddNode().ok());  // 5
+  ASSERT_TRUE(delta.AddNode().ok());  // 6
+  ASSERT_TRUE(delta.AddEdge(5, 0, 0.3f).ok());
+  ASSERT_TRUE(delta.AddEdge(4, 5, 0.6f).ok());
+  model[{5, 0}] = 0.3f;
+  model[{4, 5}] = 0.6f;
+  // The first and last base rows touched, the middle ones copied as a run.
+  ASSERT_TRUE(delta.RemoveNode(0).ok());
+  for (auto it = model.begin(); it != model.end();) {
+    it = (it->first.first == 0 || it->first.second == 0) ? model.erase(it)
+                                                          : std::next(it);
+  }
+  ExpectCompactMatchesOracles(delta, model);
 }
 
 TEST(GraphDeltaTest, ResetBaseRejectsShrunkBase) {

@@ -49,6 +49,20 @@ std::vector<NodeId> ApplyBatches(GraphDelta& delta, int batches,
   return changed;
 }
 
+/// The inverted index, which Repair and Repaired rebuild, read through
+/// its consumers: every node's coverage (a singleton's spread estimate)
+/// and the greedy max-coverage selection.
+void ExpectSameIndex(const RrSketch& got, const RrSketch& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeId u = 0; u < got.num_nodes(); ++u) {
+    EXPECT_EQ(got.EstimateSpread(std::vector<NodeId>{u}),
+              want.EstimateSpread(std::vector<NodeId>{u}))
+        << "node " << u;
+  }
+  EXPECT_EQ(std::move(got.SelectSeeds(5)).ValueOrDie(),
+            std::move(want.SelectSeeds(5)).ValueOrDie());
+}
+
 class RepairEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RepairEquivalenceTest, RepairedSketchIsBitIdenticalToRebuild) {
@@ -74,6 +88,7 @@ TEST_P(RepairEquivalenceTest, RepairedSketchIsBitIdenticalToRebuild) {
           .ValueOrDie();
   EXPECT_EQ(sketch.sets(), rebuilt.sets());
   EXPECT_EQ(sketch.stream_base(), rebuilt.stream_base());
+  ExpectSameIndex(sketch, rebuilt);
 
   // And the repaired sketch equals generation on the compacted CSR: the
   // GraphView ordering contract (ascending merge == compacted row order)
@@ -110,6 +125,7 @@ TEST_P(RepairEquivalenceTest, RepairAfterEveryBatchMatchesOneShotRebuild) {
                                    view, 64, sketch.stream_base(), threads))
                          .ValueOrDie();
   EXPECT_EQ(sketch.sets(), rebuilt.sets());
+  ExpectSameIndex(sketch, rebuilt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RepairEquivalenceTest,
@@ -139,6 +155,48 @@ TEST(RepairTest, SmallUpdateRepairsFewSets) {
   EXPECT_LT(*repaired, sketch.num_sets() / 4)
       << "single-arc repair regenerated " << *repaired << " of "
       << sketch.num_sets() << " sets — locality is broken";
+}
+
+TEST(RepairTest, RepairedCopyEqualsRepairInPlace) {
+  // Repaired builds a repaired copy without copying the inverted index,
+  // rebuilding it instead: with no stale set, with some, and after a
+  // node-count change, the copy must equal the in-place repair, index
+  // included, and leave the original untouched.
+  Graph base = MakeTestGraph(90, 0xC0DE);
+  GraphDelta delta(base);
+  GraphView view(base, &delta);
+  Rng rng(0x44);
+  const RrSketch original =
+      std::move(RrSketch::Generate(view, 48, rng, 1)).ValueOrDie();
+
+  size_t rebuilt = 99;
+  const RrSketch same = std::move(original.Repaired(
+                                      view, std::vector<NodeId>{}, 1, rebuilt))
+                            .ValueOrDie();
+  EXPECT_EQ(rebuilt, 0u);
+  EXPECT_EQ(same.sets(), original.sets());
+  ExpectSameIndex(same, original);
+
+  std::vector<NodeId> changed;  // In-rows changed since `original`.
+  for (bool grow : {false, true}) {
+    SCOPED_TRACE(grow);
+    const std::vector<NodeId> batch =
+        ApplyBatches(delta, 2, grow ? 0x61 : 0x60);
+    changed.insert(changed.end(), batch.begin(), batch.end());
+    std::sort(changed.begin(), changed.end());
+    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+    if (grow) ASSERT_TRUE(delta.AddNode().ok());
+    RrSketch in_place = original;
+    const size_t want = std::move(in_place.Repair(view, changed, 1))
+                            .ValueOrDie();
+    const RrSketch copy =
+        std::move(original.Repaired(view, changed, 1, rebuilt)).ValueOrDie();
+    EXPECT_EQ(rebuilt, want);
+    EXPECT_EQ(copy.sets(), in_place.sets());
+    EXPECT_EQ(copy.num_nodes(), view.num_nodes());
+    ExpectSameIndex(copy, in_place);
+  }
+  EXPECT_EQ(original.num_nodes(), base.num_nodes());
 }
 
 TEST(RepairTest, NodeCountChangeForcesFullRebuild) {

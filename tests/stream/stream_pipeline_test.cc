@@ -17,6 +17,9 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/update_stream.h"
+#include "im/rr_sets.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 
 namespace privim {
@@ -270,6 +273,89 @@ TEST(StreamPipelineTest, PublishSwapsGraphAndModelTogether) {
   ASSERT_NE(sketch, nullptr);
   EXPECT_EQ(sketch->num_nodes(), current->num_nodes());
 }
+
+// The server repairs its sketch on a swap that keeps the node count and
+// rebuilds it on one that does not; either way the published sketch must
+// equal a fresh Generate on the published graph from the server's seed.
+// 32 batches: two scheduled retrains, and batches that add nodes (whose
+// swaps take the rebuild path, and whose successors repair again).
+class PublishSketchTest : public ::testing::TestWithParam<size_t> {};
+
+/// Low IC weights keep RR sets small, so a batch leaves most of them
+/// untouched and a swap's repair has something to skip.
+Graph MakeLocalGraph() {
+  Rng rng(0x12);
+  Graph ring = std::move(WattsStrogatz(200, 3, 0.2, rng)).ValueOrDie();
+  Graph g = std::move(WithUniformWeights(ring, 0.05f)).ValueOrDie();
+  EXPECT_TRUE(g.EnsureInCsr().ok());
+  return g;
+}
+
+TEST_P(PublishSketchTest, ServingSketchEqualsFreshBuildAfterEverySwap) {
+  const size_t threads = GetParam();
+  constexpr size_t kSets = 256;
+  StreamOptions o = MakeOptions();
+  o.retrain.staleness_batches = 12;
+  o.num_threads = threads;
+  std::unique_ptr<StreamPipeline> pipeline =
+      std::move(StreamPipeline::Build(MakeLocalGraph(), o)).ValueOrDie();
+
+  // The first swap repairs from this borrowed construction graph.
+  Graph serve_graph = MakeLocalGraph();
+  MetricsRegistry metrics;
+  ServeConfig cfg;
+  cfg.num_threads = threads;
+  cfg.rr_sketch_sets = kSets;
+  cfg.rr_sketch_seed = 0x5e7c;
+  cfg.metrics = &metrics;
+  Server server(serve_graph, cfg);
+  const Counter* rebuilt = metrics.GetCounter("serve.sketch.sets_rebuilt");
+
+  size_t retrains = 0;
+  size_t grown = 0;
+  size_t repaired_swaps = 0;
+  for (uint64_t b = 0; b < 32; ++b) {
+    SCOPED_TRACE(b);
+    StreamGenConfig gen = o.gen;
+    gen.add_node_fraction = b % 8 == 3 ? 0.2 : 0.0;
+    const UpdateBatch batch = MakeSyntheticBatch(
+        pipeline->View(), pipeline->batches_applied(), o.seed, gen);
+    const size_t nodes_before = server.CurrentGraph()->num_nodes();
+    const StreamStepRecord rec =
+        std::move(pipeline->ApplyBatch(batch)).ValueOrDie();
+    retrains += rec.retrained;
+    const uint64_t rebuilt_before = rebuilt->value();
+    ASSERT_TRUE(pipeline->PublishTo(server).ok());
+    const uint64_t swap_rebuilt = rebuilt->value() - rebuilt_before;
+
+    const std::shared_ptr<const Graph> graph = server.CurrentGraph();
+    Rng rng(cfg.rr_sketch_seed);
+    const RrSketch fresh =
+        std::move(RrSketch::Generate(*graph, kSets, rng)).ValueOrDie();
+    const std::shared_ptr<const RrSketch> served = server.CurrentSketch();
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(served->sets(), fresh.sets());
+    ASSERT_EQ(served->num_nodes(), graph->num_nodes());
+    // The inverted index too, through each node's coverage.
+    for (NodeId u = 0; u < graph->num_nodes(); ++u) {
+      EXPECT_EQ(served->EstimateSpread(std::vector<NodeId>{u}),
+                fresh.EstimateSpread(std::vector<NodeId>{u}))
+          << "node " << u;
+    }
+    if (graph->num_nodes() != nodes_before) {
+      ++grown;
+      EXPECT_EQ(swap_rebuilt, kSets) << "a node-count change rebuilds";
+    } else if (swap_rebuilt < kSets) {
+      ++repaired_swaps;
+    }
+  }
+  EXPECT_GE(retrains, 2u);
+  EXPECT_GE(grown, 2u);
+  EXPECT_GE(repaired_swaps, 10u) << "most swaps must take the repair path";
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PublishSketchTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 TEST(StreamStateTest, CheckpointRoundTripsExactly) {
   std::unique_ptr<StreamPipeline> pipeline =

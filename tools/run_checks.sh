@@ -77,16 +77,18 @@ echo "== stage 1e: sharded pipeline suite + overlap-scheduler gate =="
 ctest --test-dir "$BUILD_DIR" -L shard -j"$(nproc)" --output-on-failure
 "$BUILD_DIR/bench/bench_micro" --benchmark_filter='ShardOverlap'
 
-echo "== stage 1f: streaming pipeline suite + O(ball) update gate =="
+echo "== stage 1f: streaming pipeline suite + O(ball) update/publish gates =="
 # `ctest -L stream` selects the src/stream/ suite (GraphDelta/GraphView
 # overlay semantics, incremental-vs-full RR-sketch bit-identity at threads
 # {1,8}, continual-observation epsilon monotonicity, kill-and-resume
 # bit-identity, the graph+model serving hot swap). The bench_micro
 # StreamUpdate case then applies real update batches to a 50k-node graph
 # and exits nonzero if a 16-event batch repairs more than 25% of the
-# resident sketch — the O(ball) locality contract of docs/streaming.md.
+# resident sketch — the O(ball) locality contract of docs/streaming.md;
+# StreamPublish publishes such batches to a Server and exits nonzero if
+# its swaps regenerate more than 25% of the server's sketch on average.
 ctest --test-dir "$BUILD_DIR" -L stream -j"$(nproc)" --output-on-failure
-"$BUILD_DIR/bench/bench_micro" --benchmark_filter='StreamUpdate'
+"$BUILD_DIR/bench/bench_micro" --benchmark_filter='Stream(Update|Publish)'
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "Tier-1 clean (sanitizer stages skipped)."
