@@ -118,12 +118,28 @@ void RrSketch::RebuildSets(const GraphView& g,
 }
 
 void RrSketch::RebuildInvertedIndex() {
-  node_to_sets_.assign(num_nodes_, {});
-  for (size_t s = 0; s < sets_.size(); ++s) {
+  // Counting sort by node. Counts, then their inclusive prefix sums, put
+  // set_offsets_[u] at the end of u's row; filling every row from its end
+  // with the sets in descending order leaves each row ascending and
+  // set_offsets_[u] at its start.
+  set_offsets_.assign(num_nodes_ + 1, 0);
+  for (const std::vector<NodeId>& set : sets_) {
+    for (NodeId u : set) ++set_offsets_[u];
+  }
+  for (size_t u = 1; u <= num_nodes_; ++u) {
+    set_offsets_[u] += set_offsets_[u - 1];
+  }
+  set_ids_.resize(set_offsets_[num_nodes_]);
+  for (size_t s = sets_.size(); s-- > 0;) {
     for (NodeId u : sets_[s]) {
-      node_to_sets_[u].push_back(static_cast<uint32_t>(s));
+      set_ids_[--set_offsets_[u]] = static_cast<uint32_t>(s);
     }
   }
+}
+
+std::span<const uint32_t> RrSketch::SetsContaining(NodeId u) const {
+  return std::span<const uint32_t>(set_ids_.data() + set_offsets_[u],
+                                   set_offsets_[u + 1] - set_offsets_[u]);
 }
 
 Result<size_t> RrSketch::Repair(const GraphView& g,
@@ -144,25 +160,20 @@ Result<size_t> RrSketch::Repair(const GraphView& g,
   }
   if (changed_in_rows.empty()) return size_t{0};
 
-  std::vector<uint8_t> changed(num_nodes_, 0);
+  // A set replays its draws identically unless it visited a node whose
+  // in-row changed (rr_sets.h has the argument), so those are exactly the
+  // sets to regenerate; the inverted index lists them per changed node.
+  std::vector<uint8_t> stale(sets_.size(), 0);
   for (NodeId v : changed_in_rows) {
     if (v >= num_nodes_) {
       return Status::OutOfRange(StrFormat(
           "changed in-row %u out of range for %zu nodes", v, num_nodes_));
     }
-    changed[v] = 1;
+    for (uint32_t s : SetsContaining(v)) stale[s] = 1;
   }
-  // A set replays its draws identically unless it visited a node whose
-  // in-row changed (rr_sets.h has the argument), so those are exactly the
-  // sets to regenerate.
   std::vector<uint32_t> dirty;
   for (size_t s = 0; s < sets_.size(); ++s) {
-    for (NodeId u : sets_[s]) {
-      if (changed[u]) {
-        dirty.push_back(static_cast<uint32_t>(s));
-        break;
-      }
-    }
+    if (stale[s]) dirty.push_back(static_cast<uint32_t>(s));
   }
   if (dirty.empty()) return size_t{0};
   RebuildSets(g, dirty, num_threads);
@@ -174,14 +185,9 @@ Result<RrSketch> RrSketch::Repaired(const GraphView& g,
                                    std::span<const NodeId> changed_in_rows,
                                    size_t num_threads,
                                    size_t& sets_rebuilt) const {
-  RrSketch copy;
-  copy.num_nodes_ = num_nodes_;
-  copy.stream_base_ = stream_base_;
-  copy.sets_ = sets_;
+  RrSketch copy = *this;
   PRIVIM_ASSIGN_OR_RETURN(sets_rebuilt,
                           copy.Repair(g, changed_in_rows, num_threads));
-  // Repair rebuilds the index only when a set changed.
-  if (sets_rebuilt == 0) copy.RebuildInvertedIndex();
   return copy;
 }
 
@@ -191,7 +197,7 @@ double RrSketch::EstimateSpread(const std::vector<NodeId>& seeds) const {
   size_t hit = 0;
   for (NodeId s : seeds) {
     PRIVIM_CHECK_LT(s, num_nodes_);
-    for (uint32_t set_id : node_to_sets_[s]) {
+    for (uint32_t set_id : SetsContaining(s)) {
       if (!covered[set_id]) {
         covered[set_id] = 1;
         ++hit;
@@ -209,7 +215,7 @@ double RrSketch::EstimateSpread(std::span<const NodeId> seeds,
   size_t hit = 0;
   for (NodeId s : seeds) {
     PRIVIM_CHECK_LT(s, num_nodes_);
-    for (uint32_t set_id : node_to_sets_[s]) {
+    for (uint32_t set_id : SetsContaining(s)) {
       if (!covered.Contains(set_id)) {
         covered.Insert(set_id);
         ++hit;
@@ -230,7 +236,7 @@ Result<std::vector<NodeId>> RrSketch::SelectSeeds(size_t k) const {
   // still-uncovered RR sets containing u.
   std::vector<size_t> gains(num_nodes_, 0);
   for (NodeId u = 0; u < num_nodes_; ++u) {
-    gains[u] = node_to_sets_[u].size();
+    gains[u] = SetsContaining(u).size();
   }
   std::vector<uint8_t> covered(sets_.size(), 0);
   std::vector<uint8_t> chosen(num_nodes_, 0);
@@ -252,7 +258,7 @@ Result<std::vector<NodeId>> RrSketch::SelectSeeds(size_t k) const {
     chosen[best] = 1;
     seeds.push_back(best);
     // Cover best's sets and decrement every member's gain.
-    for (uint32_t set_id : node_to_sets_[best]) {
+    for (uint32_t set_id : SetsContaining(best)) {
       if (covered[set_id]) continue;
       covered[set_id] = 1;
       for (NodeId member : sets_[set_id]) {

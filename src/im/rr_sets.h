@@ -70,12 +70,10 @@ class RrSketch {
                         std::span<const NodeId> changed_in_rows,
                         size_t num_threads = 0);
 
-  /// Repair applied to a copy: a new sketch holding this one's sets
-  /// repaired against `g`, equal to copying this sketch and calling
-  /// Repair(g, changed_in_rows), but without copying the inverted index,
-  /// which the copy rebuilds from its sets. `sets_rebuilt` receives
-  /// Repair's count. The serving layer's swap path: the published sketch
-  /// stays immutable while its successor is built.
+  /// Repair applied to a copy: this sketch copied, then
+  /// Repair(g, changed_in_rows) on the copy. `sets_rebuilt` receives
+  /// Repair's count. The serving layer's derivation path: the sketch it
+  /// repairs from stays immutable while its successor is built.
   Result<RrSketch> Repaired(const GraphView& g,
                             std::span<const NodeId> changed_in_rows,
                             size_t num_threads, size_t& sets_rebuilt) const;
@@ -109,17 +107,23 @@ class RrSketch {
   static Result<RrSketch> GenerateImpl(const GraphView& g, size_t count,
                                        uint64_t stream_base,
                                        size_t num_threads);
-  /// Regenerates the listed sets from their child streams and rebuilds
-  /// the inverted index.
+  /// Regenerates the listed sets from their child streams; the inverted
+  /// index is the caller's to update.
   void RebuildSets(const GraphView& g, std::span<const uint32_t> set_ids,
                    size_t num_threads);
   void RebuildInvertedIndex();
+  /// The ids of the RR sets containing `u`, ascending.
+  std::span<const uint32_t> SetsContaining(NodeId u) const;
 
   size_t num_nodes_ = 0;
   uint64_t stream_base_ = 0;
   std::vector<std::vector<NodeId>> sets_;
-  /// For each node, the indices of RR sets containing it (inverted index).
-  std::vector<std::vector<uint32_t>> node_to_sets_;
+  /// Inverted index, flat: the sets containing node u are
+  /// set_ids_[set_offsets_[u], set_offsets_[u + 1]), in ascending order.
+  /// Two arrays, so a rebuild is one counting sort without per-node
+  /// allocations and a copy is two memcpys.
+  std::vector<size_t> set_offsets_;
+  std::vector<uint32_t> set_ids_;
 };
 
 }  // namespace privim

@@ -39,8 +39,9 @@ enum class SpreadEstimator {
   /// Monte-Carlo IC cascades; `trials` per estimate, streams derived from
   /// the request seed, so the estimate is deterministic per (request.seed).
   kMonteCarloIc,
-  /// Resident RR sketch shared by all workers (Server::BuildSketch);
-  /// deterministic per (sketch, seed set).
+  /// Resident RR sketch shared by all workers, derived per published
+  /// graph on its first read (Server::CurrentSketch); deterministic per
+  /// (sketch, seed set).
   kRrSketch,
 };
 

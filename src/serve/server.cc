@@ -24,7 +24,9 @@ struct Server::ServeMetrics {
   Counter* batches = nullptr;
   Counter* snapshot_swaps = nullptr;
   Counter* graph_swaps = nullptr;
-  /// RR sets generated by SwapGraphAndSnapshot (repaired or rebuilt).
+  /// Sketches derived on first read, and the RR sets they generated
+  /// (repaired or rebuilt).
+  Counter* sketch_derivations = nullptr;
   Counter* sketch_sets_rebuilt = nullptr;
   Gauge* queue_depth = nullptr;
   Histogram* batch_size = nullptr;
@@ -41,6 +43,7 @@ struct Server::ServeMetrics {
     batches = reg.GetCounter("serve.batches");
     snapshot_swaps = reg.GetCounter("serve.snapshot_swaps");
     graph_swaps = reg.GetCounter("serve.graph_swaps");
+    sketch_derivations = reg.GetCounter("serve.sketch.derivations");
     sketch_sets_rebuilt = reg.GetCounter("serve.sketch.sets_rebuilt");
     queue_depth = reg.GetGauge("serve.queue_depth");
     batch_size =
@@ -82,10 +85,7 @@ Server::Server(const Graph& graph, const ServeConfig& config)
   // in later arrive owned by their snapshot.
   initial->graph = std::shared_ptr<const Graph>(
       std::shared_ptr<const void>(), &graph_);
-  Result<std::shared_ptr<const RrSketch>> sketch = BuildSketch(graph_);
-  PRIVIM_CHECK(sketch.ok()) << "resident RR sketch generation failed: "
-                            << sketch.status().ToString();
-  initial->sketch = std::move(sketch).ValueOrDie();
+  initial->sketch = NewSketchSlot();
   state_ = std::move(initial);
   if (config_.metrics != nullptr) {
     m_ = std::make_unique<ServeMetrics>(*config_.metrics, config_.max_batch);
@@ -94,38 +94,66 @@ Server::Server(const Graph& graph, const ServeConfig& config)
 
 Server::~Server() { Stop(); }
 
-Result<std::shared_ptr<const RrSketch>> Server::BuildSketch(
-    const Graph& graph) const {
-  if (config_.rr_sketch_sets == 0 || graph.num_nodes() == 0) {
-    return std::shared_ptr<const RrSketch>();
-  }
-  Rng sketch_rng(config_.rr_sketch_seed);
-  PRIVIM_ASSIGN_OR_RETURN(
-      RrSketch sketch,
-      RrSketch::Generate(graph, config_.rr_sketch_sets, sketch_rng,
-                         num_threads_));
-  return std::make_shared<const RrSketch>(std::move(sketch));
+std::shared_ptr<Server::SketchSlot> Server::NewSketchSlot() {
+  auto slot = std::make_shared<SketchSlot>();
+  slot->generation = graph_generations_.fetch_add(1) + 1;
+  return slot;
 }
 
-Result<std::shared_ptr<const RrSketch>> Server::SketchFor(
-    const ServingState& current, const Graph& graph,
-    size_t& sets_rebuilt) const {
-  if (current.sketch == nullptr ||
-      current.graph->num_nodes() != graph.num_nodes()) {
-    PRIVIM_ASSIGN_OR_RETURN(std::shared_ptr<const RrSketch> sketch,
-                            BuildSketch(graph));
-    sets_rebuilt = sketch == nullptr ? 0 : sketch->num_sets();
-    return sketch;
+const Server::SketchSlot& Server::SketchOf(const ServingState& state) const {
+  SketchSlot& slot = *state.sketch;
+  std::call_once(slot.once,
+                 [&] { slot.status = DeriveSketch(state.graph, slot); });
+  return slot;
+}
+
+Status Server::DeriveSketch(const std::shared_ptr<const Graph>& graph,
+                            SketchSlot& slot) const {
+  if (config_.rr_sketch_sets == 0 || graph->num_nodes() == 0) {
+    return Status::OK();
   }
-  // Every resident sketch is BuildSketch of its state's graph, so the
-  // current one repaired over the in-rows that differ equals a fresh
-  // build on `graph` (Repair == Regenerate, im/rr_sets.h).
-  PRIVIM_ASSIGN_OR_RETURN(const std::vector<NodeId> changed,
-                          ChangedInRows(*current.graph, graph));
-  PRIVIM_ASSIGN_OR_RETURN(
-      RrSketch sketch, current.sketch->Repaired(GraphView(graph), changed,
-                                                num_threads_, sets_rebuilt));
-  return std::make_shared<const RrSketch>(std::move(sketch));
+  DerivedSketch source;
+  {
+    std::lock_guard<std::mutex> lock(derived_mu_);
+    source = derived_;
+  }
+  size_t generated = 0;
+  if (source.graph == graph) {
+    // The same graph published again: its sketch is already derived.
+    slot.sketch = std::move(source.sketch);
+  } else if (source.sketch != nullptr &&
+             source.graph->num_nodes() == graph->num_nodes()) {
+    // Every derived sketch equals a fresh generation on its graph, so the
+    // source repaired over the in-rows that differ equals a fresh
+    // generation on `graph` (Repair == Regenerate, im/rr_sets.h).
+    PRIVIM_ASSIGN_OR_RETURN(const std::vector<NodeId> changed,
+                            ChangedInRows(*source.graph, *graph));
+    PRIVIM_ASSIGN_OR_RETURN(
+        RrSketch sketch, source.sketch->Repaired(GraphView(*graph), changed,
+                                                 num_threads_, generated));
+    slot.sketch = std::make_shared<const RrSketch>(std::move(sketch));
+  } else {
+    Rng sketch_rng(config_.rr_sketch_seed);
+    PRIVIM_ASSIGN_OR_RETURN(
+        RrSketch sketch,
+        RrSketch::Generate(*graph, config_.rr_sketch_sets, sketch_rng,
+                           num_threads_));
+    generated = sketch.num_sets();
+    slot.sketch = std::make_shared<const RrSketch>(std::move(sketch));
+  }
+  DerivedSketch retired;
+  {
+    std::lock_guard<std::mutex> lock(derived_mu_);
+    if (derived_.sketch == nullptr || slot.generation > derived_.generation) {
+      retired = std::exchange(
+          derived_, DerivedSketch{slot.generation, graph, slot.sketch});
+    }
+  }
+  if (m_ != nullptr) {
+    m_->sketch_derivations->Add(1);
+    m_->sketch_sets_rebuilt->Add(generated);
+  }
+  return Status::OK();
 }
 
 Result<uint64_t> Server::LoadSnapshot(const std::string& path) {
@@ -170,21 +198,16 @@ Status Server::SwapGraphAndSnapshot(
         "SwapGraphAndSnapshot needs a graph-owning snapshot; build it with "
         "the shared_ptr<const Graph> FromModel overload");
   }
-  // Bring the resident sketch to the NEW graph before anything is
-  // published — a batch can never pair the new model with the old
-  // topology (or an old sketch).
-  size_t sets_rebuilt = 0;
-  PRIVIM_ASSIGN_OR_RETURN(std::shared_ptr<const RrSketch> sketch,
-                          SketchFor(*CurrentState(), *graph, sets_rebuilt));
+  // Graph and model become visible together; the new graph's sketch is
+  // derived by its first reader (SketchOf).
   auto next = std::make_shared<ServingState>();
   next->graph = std::move(graph);
   next->snapshot = std::move(snapshot);
-  next->sketch = std::move(sketch);
+  next->sketch = NewSketchSlot();
   Publish(std::move(next));
   if (m_ != nullptr) {
     m_->snapshot_swaps->Add(1);
     m_->graph_swaps->Add(1);
-    m_->sketch_sets_rebuilt->Add(sets_rebuilt);
   }
   return Status::OK();
 }
@@ -195,8 +218,14 @@ std::shared_ptr<const Server::ServingState> Server::CurrentState() const {
 }
 
 void Server::Publish(std::shared_ptr<const ServingState> next) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  state_ = std::move(next);
+  std::shared_ptr<const ServingState> retired;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    retired = std::exchange(state_, std::move(next));
+  }
+  // When this was the last reference, the retired graph, snapshot and
+  // sketch are freed here, after the lock: workers taking their batch's
+  // state do not wait for it.
 }
 
 std::shared_ptr<const ModelSnapshot> Server::CurrentSnapshot() const {
@@ -207,8 +236,12 @@ std::shared_ptr<const Graph> Server::CurrentGraph() const {
   return CurrentState()->graph;
 }
 
-std::shared_ptr<const RrSketch> Server::CurrentSketch() const {
-  return CurrentState()->sketch;
+Result<std::shared_ptr<const RrSketch>> Server::CurrentSketch() const {
+  // The state reference keeps the slot alive across a concurrent swap.
+  const std::shared_ptr<const ServingState> state = CurrentState();
+  const SketchSlot& slot = SketchOf(*state);
+  PRIVIM_RETURN_NOT_OK(slot.status);
+  return slot.sketch;
 }
 
 Status Server::Start() {
@@ -294,9 +327,20 @@ void Server::WorkerLoop(size_t slot) {
       m_->queue_depth->Set(static_cast<double>(queue_.size()));
     }
     for (const QueryTicket& ticket : batch) {
-      Status status = engine.Execute(*state->graph, state->snapshot.get(),
-                                     state->sketch.get(), *ticket.request,
-                                     *ticket.response);
+      Status status;
+      const RrSketch* sketch = nullptr;
+      if (ticket.request->estimator == SpreadEstimator::kRrSketch) {
+        const SketchSlot& slot = SketchOf(*state);
+        status = slot.status;
+        sketch = slot.sketch.get();
+      }
+      if (status.ok()) {
+        status = engine.Execute(*state->graph, state->snapshot.get(), sketch,
+                                *ticket.request, *ticket.response);
+      } else {
+        ticket.response->Clear();
+        ticket.response->type = ticket.request->type;
+      }
       if (m_ != nullptr) {
         (status.ok() ? m_->completed : m_->failed)->Add(1);
         Histogram* lat = m_->LatencyFor(ticket.request->type);

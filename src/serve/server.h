@@ -1,6 +1,7 @@
 #ifndef PRIVIM_SERVE_SERVER_H_
 #define PRIVIM_SERVE_SERVER_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,13 +34,16 @@ struct ServeConfig {
   size_t max_batch = 8;
   /// Resident RR-sketch size for the kRrSketch estimator; 0 disables the
   /// sketch (requests selecting it then fail with FailedPrecondition).
+  /// The sketch of a published graph is derived on its first read, not at
+  /// publication (see the Server class comment).
   size_t rr_sketch_sets = 0;
   /// Seed for the resident sketch's generation.
   uint64_t rr_sketch_seed = 0x5e7;
   /// Optional run telemetry; instruments are registered once at
   /// construction and recorded lock-free while serving (per-query-type
-  /// latency histograms, queue-depth gauge, scratch-reuse counters, and
-  /// serve.sketch.sets_rebuilt: RR sets generated by graph swaps).
+  /// latency histograms, queue-depth gauge, scratch-reuse counters,
+  /// serve.sketch.derivations: sketches derived on first read, and
+  /// serve.sketch.sets_rebuilt: RR sets those derivations generated).
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -53,32 +57,37 @@ struct ServeConfig {
 ///   server.Stop();                         // drain, then join
 ///
 /// Hot swap: the full serving state — resident graph, ModelSnapshot, and
-/// resident RR sketch — lives behind one shared_ptr that LoadSnapshot /
-/// SwapSnapshot / SwapGraphAndSnapshot replace atomically (readers copy
-/// the pointer under a short critical section — RCU by reference
-/// counting). Workers take ONE state reference per batch, so every query
-/// in a batch answers from a consistent (graph, model, sketch) triple;
-/// queries already executing keep their reference, so they complete on
-/// the version they started with, and the retired state (including a
-/// swapped-out graph) is destroyed when its last in-flight query
-/// finishes. Every response records the serving snapshot's id, making the
-/// swap observable and testable (no torn reads: each answer is the pure
-/// function of exactly one state).
+/// the slot of the graph's RR sketch — lives behind one shared_ptr that
+/// LoadSnapshot / SwapSnapshot / SwapGraphAndSnapshot replace atomically
+/// (readers copy the pointer under a short critical section — RCU by
+/// reference counting). Workers take ONE state reference per batch, so
+/// every query in a batch answers from a consistent (graph, model,
+/// sketch) triple; queries already executing keep their reference, so
+/// they complete on the version they started with, and the retired state
+/// (including a swapped-out graph) is destroyed when its last in-flight
+/// query finishes, outside the publication lock. Every response records
+/// the serving snapshot's id, making the swap observable and testable (no
+/// torn reads: each answer is the pure function of exactly one state).
 ///
 /// Dynamic graphs (docs/streaming.md): SwapGraphAndSnapshot publishes a
-/// graph-owning snapshot, replacing graph and model TOGETHER — the
-/// resident sketch is brought to the new graph before anything becomes
-/// visible, so no batch can ever pair the new model with the old
-/// topology or vice versa. When the node count holds, the swap repairs a
-/// copy of the current sketch: it diffs the two graphs' in-rows
-/// (ChangedInRows, graph/algorithms.h) and regenerates only the RR sets
-/// that visit a changed row, so a publish costs what the batch changed.
-/// Every resident sketch comes from Rng(rr_sketch_seed), so the repaired
-/// sketch is bit-identical to a fresh RrSketch::Generate on the new graph
-/// (Repair == Regenerate, im/rr_sets.h). A node-count change, or a state
-/// without a sketch, rebuilds it. The snapshot itself derives its
-/// inference state on first use (serve/snapshot.h), so a publish that no
-/// top-k query follows never compiles the model.
+/// graph-owning snapshot, replacing graph and model TOGETHER, so no batch
+/// can ever pair the new model with the old topology or vice versa. The
+/// swap does no sketch work: each published graph's sketch is derived on
+/// its first read (a kRrSketch query or CurrentSketch()), and concurrent
+/// first readers share that one derivation. When the node count holds,
+/// the derivation repairs a copy of the newest sketch the server has
+/// derived: it diffs the two graphs' in-rows (ChangedInRows,
+/// graph/algorithms.h) and regenerates only the RR sets that visit a
+/// changed row, so the reader pays for what changed since that sketch.
+/// Otherwise it generates the sketch. Every sketch comes from
+/// Rng(rr_sketch_seed), so each one a query reads is bit-identical to a
+/// fresh RrSketch::Generate on its graph (Repair == Regenerate,
+/// im/rr_sets.h). The server keeps that newest (graph, sketch) pair as
+/// the repair source, so at most one retired pair outlives its state. A
+/// publish that no sketch query follows costs no sketch work, just as
+/// the snapshot derives its inference state on first use
+/// (serve/snapshot.h) and a publish that no top-k query follows never
+/// compiles the model.
 ///
 /// Queries may be submitted before Start(): they are admitted into the
 /// bounded queue (backpressure applies) and execute once workers exist.
@@ -107,12 +116,11 @@ class Server {
 
   /// Publishes a graph-owning snapshot (ModelSnapshot::FromModel with a
   /// shared graph), replacing the resident graph AND the model in one
-  /// atomic swap; the resident RR sketch (when configured) is repaired to
-  /// the new graph, or rebuilt when the node count changed, before
-  /// publication (see the class comment). Fails with InvalidArgument
-  /// when the snapshot does not own a graph. In-flight queries finish on
-  /// the previous (graph, model, sketch) triple, which stays alive until
-  /// they drain.
+  /// atomic swap. The new graph's RR sketch (when configured) is derived
+  /// on its first read, not here (see the class comment). Fails with
+  /// InvalidArgument when the snapshot does not own a graph. In-flight
+  /// queries finish on the previous (graph, model, sketch) triple, which
+  /// stays alive until they drain.
   Status SwapGraphAndSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// The currently published snapshot (nullptr before the first load).
@@ -125,8 +133,11 @@ class Server {
   /// borrowers the same way it does for in-flight queries).
   std::shared_ptr<const Graph> CurrentGraph() const;
 
-  /// The current resident sketch (nullptr when rr_sketch_sets == 0).
-  std::shared_ptr<const RrSketch> CurrentSketch() const;
+  /// The current graph's resident sketch, derived here when no query has
+  /// read it yet (nullptr when rr_sketch_sets == 0 or the graph is
+  /// empty). Fails with the derivation's status, e.g. FailedPrecondition
+  /// for a graph built without its in-CSR.
+  Result<std::shared_ptr<const RrSketch>> CurrentSketch() const;
 
   /// Spawns the worker pool and begins executing queued queries.
   /// Idempotent; fails after Stop() (servers are not restartable).
@@ -155,28 +166,47 @@ class Server {
  private:
   struct ServeMetrics;
 
+  /// The RR sketch of one published graph, derived on its first read
+  /// (SketchOf) and immutable after. States that share a graph share the
+  /// slot, so a model-only swap keeps the sketch.
+  struct SketchSlot {
+    /// Publication order of the graph; ranks repair sources.
+    uint64_t generation = 0;
+    std::once_flag once;
+    /// Written once, under `once`: the sketch (null when disabled or the
+    /// graph is empty) or the status of a failed derivation.
+    std::shared_ptr<const RrSketch> sketch;
+    Status status;
+  };
+
   /// One consistent serving version: the graph, the model compiled
-  /// against it, and the sketch generated from it. Immutable once
-  /// published; swapped as a unit.
+  /// against it, and the slot of the sketch generated from it. Immutable
+  /// once published; swapped as a unit.
   struct ServingState {
     std::shared_ptr<const Graph> graph;
     std::shared_ptr<const ModelSnapshot> snapshot;
+    std::shared_ptr<SketchSlot> sketch;
+  };
+
+  /// The newest derived sketch and the graph it was generated on: the
+  /// source the next derivation repairs.
+  struct DerivedSketch {
+    uint64_t generation = 0;
+    std::shared_ptr<const Graph> graph;
     std::shared_ptr<const RrSketch> sketch;
   };
 
   std::shared_ptr<const ServingState> CurrentState() const;
   void Publish(std::shared_ptr<const ServingState> next);
-  /// Builds the resident sketch for `graph` per config_ (null when
-  /// disabled or the graph is empty).
-  Result<std::shared_ptr<const RrSketch>> BuildSketch(
-      const Graph& graph) const;
-  /// The resident sketch for `graph`, equal to BuildSketch(graph): a
-  /// repaired copy of `current`'s sketch when it has one and the node
-  /// count holds, BuildSketch otherwise. `sets_rebuilt` receives the
-  /// number of RR sets generated.
-  Result<std::shared_ptr<const RrSketch>> SketchFor(
-      const ServingState& current, const Graph& graph,
-      size_t& sets_rebuilt) const;
+  std::shared_ptr<SketchSlot> NewSketchSlot();
+  /// `state`'s sketch slot, derived first when no caller has read it yet;
+  /// concurrent first callers wait for the one derivation.
+  const SketchSlot& SketchOf(const ServingState& state) const;
+  /// Fills `slot` with the sketch of `graph`, equal to RrSketch::Generate
+  /// from Rng(rr_sketch_seed): a repaired copy of derived_'s sketch when
+  /// the node count holds, a fresh generation otherwise.
+  Status DeriveSketch(const std::shared_ptr<const Graph>& graph,
+                      SketchSlot& slot) const;
 
   void WorkerLoop(size_t slot);
   void FlushWorkspaceStats();
@@ -189,6 +219,11 @@ class Server {
 
   mutable std::mutex state_mu_;
   std::shared_ptr<const ServingState> state_;
+
+  std::atomic<uint64_t> graph_generations_{0};
+  /// Guards derived_ only; a swap never takes it.
+  mutable std::mutex derived_mu_;
+  mutable DerivedSketch derived_;
 
   std::unique_ptr<ThreadPool> pool_;
   bool started_ = false;

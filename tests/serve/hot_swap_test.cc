@@ -14,6 +14,9 @@
 // under test.
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,6 +30,7 @@
 #include "graph/graph_delta.h"
 #include "im/rr_sets.h"
 #include "nn/features.h"
+#include "obs/metrics.h"
 #include "serve/query_engine.h"
 #include "serve/server.h"
 
@@ -300,6 +304,122 @@ TEST(HotSwapTortureTest, SketchRepairedAcrossGraphSwapsTwoWorkers) {
 
 TEST(HotSwapTortureTest, SketchRepairedAcrossGraphSwapsFourWorkers) {
   SketchSwapTortureAt(4);
+}
+
+// The first sketch queries of a freshly published graph, sent by 8
+// clients at once to 8 workers: they share one derivation (the others
+// wait for it) and all answer from that one sketch, a fresh Generate.
+TEST(HotSwapTortureTest, ConcurrentFirstSketchReadersShareOneDerivation) {
+  constexpr size_t kReaders = 8;
+  constexpr size_t kSets = 128;
+  Rng graph_rng(93);
+  const Graph unit =
+      std::move(ErdosRenyi(60, 0.08, true, graph_rng)).ValueOrDie();
+  Graph base = std::move(WithUniformWeights(unit, 0.2f)).ValueOrDie();
+  ASSERT_TRUE(base.EnsureInCsr().ok());
+  const std::shared_ptr<const Graph> published = GraphCycle(base, 1)[0];
+
+  MetricsRegistry metrics;
+  ServeConfig cfg;
+  cfg.num_threads = kReaders;
+  cfg.max_batch = 1;
+  cfg.rr_sketch_sets = kSets;
+  cfg.metrics = &metrics;
+  Server server(base, cfg);
+  Rng model_rng(301);
+  ASSERT_TRUE(server
+                  .SwapGraphAndSnapshot(
+                      std::move(ModelSnapshot::FromModel(
+                                    std::make_unique<GnnModel>(SmallConfig(),
+                                                               model_rng),
+                                    published))
+                          .ValueOrDie())
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  QueryRequest req;
+  req.type = QueryType::kSpread;
+  req.seeds = {0, 7, 21};
+  req.estimator = SpreadEstimator::kRrSketch;
+  std::vector<QueryResponse> responses(kReaders);
+  std::vector<Status> statuses(kReaders);
+  std::latch start(kReaders);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kReaders; ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      statuses[c] = server.Query(req, responses[c]);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Stop();
+
+  EXPECT_EQ(metrics.GetCounter("serve.sketch.derivations")->value(), 1u);
+  // Nothing was derived before, so the one derivation generated.
+  EXPECT_EQ(metrics.GetCounter("serve.sketch.sets_rebuilt")->value(), kSets);
+  Rng sketch_rng(cfg.rr_sketch_seed);
+  const RrSketch fresh =
+      std::move(RrSketch::Generate(*published, kSets, sketch_rng))
+          .ValueOrDie();
+  const double want = fresh.EstimateSpread(req.seeds);
+  for (size_t c = 0; c < kReaders; ++c) {
+    ASSERT_TRUE(statuses[c].ok()) << statuses[c].ToString();
+    EXPECT_EQ(responses[c].spread, want) << "client " << c;
+  }
+}
+
+// Publish releases the state it retires after its lock: a retired graph's
+// destructor, run by the swap that drops the last reference, must not
+// stall a reader of the current state. The deleter asks a second thread
+// for CurrentGraph() and waits for it at most 2 s.
+TEST(HotSwapTortureTest, RetiredStateIsFreedOutsideThePublicationLock) {
+  Rng graph_rng(94);
+  Graph g = std::move(ErdosRenyi(30, 0.15, true, graph_rng)).ValueOrDie();
+  ASSERT_TRUE(g.EnsureInCsr().ok());
+  const auto owning_snapshot = [](std::shared_ptr<const Graph> graph) {
+    Rng rng(7);
+    return std::move(ModelSnapshot::FromModel(
+                         std::make_unique<GnnModel>(SmallConfig(), rng),
+                         std::move(graph)))
+        .ValueOrDie();
+  };
+  // Declared before the server, which must not outlive them.
+  bool probe = false;
+  bool freed = false;
+  bool timed_out = false;
+  std::thread reader;
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  Server server(g, cfg);
+  {
+    std::shared_ptr<const Graph> probed(new Graph(g), [&](const Graph* dead) {
+      if (probe) {
+        std::promise<void> read;
+        std::future<void> done = read.get_future();
+        reader = std::thread([&server, read = std::move(read)]() mutable {
+          server.CurrentGraph();
+          read.set_value();
+        });
+        timed_out = done.wait_for(std::chrono::seconds(2)) ==
+                    std::future_status::timeout;
+        freed = true;
+      }
+      delete dead;
+    });
+    ASSERT_TRUE(
+        server.SwapGraphAndSnapshot(owning_snapshot(std::move(probed))).ok());
+  }
+  // The server now holds the probed graph's last reference; this swap
+  // retires it.
+  probe = true;
+  const Status swapped = server.SwapGraphAndSnapshot(
+      owning_snapshot(std::make_shared<const Graph>(g)));
+  probe = false;
+  if (reader.joinable()) reader.join();
+  ASSERT_TRUE(swapped.ok()) << swapped.ToString();
+  ASSERT_TRUE(freed) << "the swap did not free the retired graph";
+  EXPECT_FALSE(timed_out)
+      << "CurrentGraph() waited on a swap freeing the retired state";
 }
 
 TEST(HotSwapTortureTest, InFlightQueriesKeepOldSnapshotAlive) {

@@ -156,6 +156,88 @@ TEST_F(ServerTest, SketchEstimatorWithoutSketchFailsWithHint) {
   EXPECT_NE(s.message().find("rr_sketch_sets"), std::string::npos);
 }
 
+TEST_F(ServerTest, ServerWithoutSketchNeverDerivesOne) {
+  MetricsRegistry metrics;
+  ServeConfig cfg;
+  cfg.num_threads = 1;  // rr_sketch_sets left 0.
+  cfg.metrics = &metrics;
+  Server server(graph_, cfg);
+  auto owned = std::make_shared<const Graph>(TestGraph(8));
+  Rng rng(3);
+  ASSERT_TRUE(server
+                  .SwapGraphAndSnapshot(
+                      std::move(ModelSnapshot::FromModel(
+                                    std::make_unique<GnnModel>(SmallConfig(),
+                                                               rng),
+                                    owned))
+                          .ValueOrDie())
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  QueryRequest req;
+  req.type = QueryType::kSpread;
+  req.seeds = {0};
+  req.estimator = SpreadEstimator::kRrSketch;
+  QueryResponse resp;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(server.Query(req, resp).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  const Result<std::shared_ptr<const RrSketch>> sketch =
+      server.CurrentSketch();
+  ASSERT_TRUE(sketch.ok());
+  EXPECT_EQ(sketch.ValueOrDie(), nullptr);
+  server.Stop();
+  EXPECT_EQ(metrics.GetCounter("serve.sketch.derivations")->value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("serve.sketch.sets_rebuilt")->value(), 0u);
+}
+
+// A graph built without its in-CSR still serves: the sketch is derived on
+// the first sketch query, which fails with a status naming the fix, while
+// exact and Monte-Carlo queries (out-edge scans) answer.
+TEST_F(ServerTest, GraphWithoutInCsrServesAndSketchQueriesFailWithHint) {
+  GraphBuilder builder(graph_.num_nodes());
+  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
+    for (NodeId v : graph_.OutNeighbors(u)) {
+      ASSERT_TRUE(builder.AddEdge(u, v).ok());
+    }
+  }
+  GraphBuildOptions opts;
+  opts.build_in_csr = false;
+  const Graph out_only = std::move(builder.Build(opts)).ValueOrDie();
+  ASSERT_FALSE(out_only.has_in_csr());
+
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  cfg.rr_sketch_sets = 32;
+  Server server(out_only, cfg);
+  ASSERT_TRUE(server.Start().ok());
+
+  QueryRequest req;
+  req.type = QueryType::kSpread;
+  req.seeds = {0, 1};
+  req.estimator = SpreadEstimator::kRrSketch;
+  QueryResponse resp;
+  const Status s = server.Query(req, resp);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("EnsureInCsr"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(resp.type, QueryType::kSpread);
+  EXPECT_EQ(resp.spread, 0.0);
+  const Result<std::shared_ptr<const RrSketch>> sketch =
+      server.CurrentSketch();
+  EXPECT_EQ(sketch.status().code(), StatusCode::kFailedPrecondition);
+
+  req.estimator = SpreadEstimator::kExact;
+  ASSERT_TRUE(server.Query(req, resp).ok());
+  EXPECT_GE(resp.spread, 2.0);
+  req.estimator = SpreadEstimator::kMonteCarloIc;
+  req.trials = 8;
+  req.max_steps = -1;
+  ASSERT_TRUE(server.Query(req, resp).ok());
+  EXPECT_GE(resp.spread, 2.0);
+  server.Stop();
+}
+
 TEST_F(ServerTest, InvalidRequestsAreRejectedNotExecuted) {
   ServeConfig cfg;
   cfg.num_threads = 1;

@@ -268,27 +268,55 @@ TEST(StreamPipelineTest, PublishSwapsGraphAndModelTogether) {
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->owned_graph().get(), current.get());
 
-  // The resident sketch was regenerated on the new graph before publish.
-  std::shared_ptr<const RrSketch> sketch = server.CurrentSketch();
+  // The first read derives the resident sketch on the new graph.
+  std::shared_ptr<const RrSketch> sketch =
+      std::move(server.CurrentSketch()).ValueOrDie();
   ASSERT_NE(sketch, nullptr);
   EXPECT_EQ(sketch->num_nodes(), current->num_nodes());
 }
 
-// The server repairs its sketch on a swap that keeps the node count and
-// rebuilds it on one that does not; either way the published sketch must
-// equal a fresh Generate on the published graph from the server's seed.
-// 32 batches: two scheduled retrains, and batches that add nodes (whose
-// swaps take the rebuild path, and whose successors repair again).
+// A publish does no sketch work: the server derives a published graph's
+// sketch on its first read, repairing the newest sketch it has derived
+// when the node count holds and generating a fresh one when it does not.
+// Either way the sketch read must equal a fresh Generate on the published
+// graph from the server's seed. 32 batches: two scheduled retrains, and
+// batches that add nodes (whose derivations take the rebuild path, and
+// whose successors repair again).
 class PublishSketchTest : public ::testing::TestWithParam<size_t> {};
 
 /// Low IC weights keep RR sets small, so a batch leaves most of them
-/// untouched and a swap's repair has something to skip.
+/// untouched and a derivation's repair has something to skip.
 Graph MakeLocalGraph() {
   Rng rng(0x12);
   Graph ring = std::move(WattsStrogatz(200, 3, 0.2, rng)).ValueOrDie();
   Graph g = std::move(WithUniformWeights(ring, 0.05f)).ValueOrDie();
   EXPECT_TRUE(g.EnsureInCsr().ok());
   return g;
+}
+
+/// `served` equals RrSketch::Generate(graph, sets, Rng(seed)): the sets,
+/// and the inverted index through each node's coverage.
+void ExpectFreshSketch(const RrSketch& served, const Graph& graph,
+                       size_t sets, uint64_t seed) {
+  Rng rng(seed);
+  const RrSketch fresh =
+      std::move(RrSketch::Generate(graph, sets, rng)).ValueOrDie();
+  EXPECT_EQ(served.sets(), fresh.sets());
+  ASSERT_EQ(served.num_nodes(), graph.num_nodes());
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    EXPECT_EQ(served.EstimateSpread(std::vector<NodeId>{u}),
+              fresh.EstimateSpread(std::vector<NodeId>{u}))
+        << "node " << u;
+  }
+}
+
+/// The next synthetic batch of `pipeline`; `grow` adds nodes.
+UpdateBatch NextBatch(const StreamPipeline& pipeline, const StreamOptions& o,
+                      bool grow) {
+  StreamGenConfig gen = o.gen;
+  gen.add_node_fraction = grow ? 0.2 : 0.0;
+  return MakeSyntheticBatch(pipeline.View(), pipeline.batches_applied(),
+                            o.seed, gen);
 }
 
 TEST_P(PublishSketchTest, ServingSketchEqualsFreshBuildAfterEverySwap) {
@@ -300,7 +328,6 @@ TEST_P(PublishSketchTest, ServingSketchEqualsFreshBuildAfterEverySwap) {
   std::unique_ptr<StreamPipeline> pipeline =
       std::move(StreamPipeline::Build(MakeLocalGraph(), o)).ValueOrDie();
 
-  // The first swap repairs from this borrowed construction graph.
   Graph serve_graph = MakeLocalGraph();
   MetricsRegistry metrics;
   ServeConfig cfg;
@@ -310,48 +337,108 @@ TEST_P(PublishSketchTest, ServingSketchEqualsFreshBuildAfterEverySwap) {
   cfg.metrics = &metrics;
   Server server(serve_graph, cfg);
   const Counter* rebuilt = metrics.GetCounter("serve.sketch.sets_rebuilt");
+  // The first publish's derivation repairs from this borrowed
+  // construction graph's sketch.
+  ASSERT_TRUE(server.CurrentSketch().ok());
 
   size_t retrains = 0;
   size_t grown = 0;
-  size_t repaired_swaps = 0;
+  size_t repaired_reads = 0;
   for (uint64_t b = 0; b < 32; ++b) {
     SCOPED_TRACE(b);
-    StreamGenConfig gen = o.gen;
-    gen.add_node_fraction = b % 8 == 3 ? 0.2 : 0.0;
-    const UpdateBatch batch = MakeSyntheticBatch(
-        pipeline->View(), pipeline->batches_applied(), o.seed, gen);
+    const UpdateBatch batch = NextBatch(*pipeline, o, b % 8 == 3);
     const size_t nodes_before = server.CurrentGraph()->num_nodes();
     const StreamStepRecord rec =
         std::move(pipeline->ApplyBatch(batch)).ValueOrDie();
     retrains += rec.retrained;
-    const uint64_t rebuilt_before = rebuilt->value();
+    const uint64_t publish_before = rebuilt->value();
     ASSERT_TRUE(pipeline->PublishTo(server).ok());
-    const uint64_t swap_rebuilt = rebuilt->value() - rebuilt_before;
+    EXPECT_EQ(rebuilt->value(), publish_before)
+        << "a publish generates no RR sets";
 
     const std::shared_ptr<const Graph> graph = server.CurrentGraph();
-    Rng rng(cfg.rr_sketch_seed);
-    const RrSketch fresh =
-        std::move(RrSketch::Generate(*graph, kSets, rng)).ValueOrDie();
-    const std::shared_ptr<const RrSketch> served = server.CurrentSketch();
+    const uint64_t read_before = rebuilt->value();
+    const std::shared_ptr<const RrSketch> served =
+        std::move(server.CurrentSketch()).ValueOrDie();
+    const uint64_t read_rebuilt = rebuilt->value() - read_before;
     ASSERT_NE(served, nullptr);
-    EXPECT_EQ(served->sets(), fresh.sets());
-    ASSERT_EQ(served->num_nodes(), graph->num_nodes());
-    // The inverted index too, through each node's coverage.
-    for (NodeId u = 0; u < graph->num_nodes(); ++u) {
-      EXPECT_EQ(served->EstimateSpread(std::vector<NodeId>{u}),
-                fresh.EstimateSpread(std::vector<NodeId>{u}))
-          << "node " << u;
-    }
+    ExpectFreshSketch(*served, *graph, kSets, cfg.rr_sketch_seed);
     if (graph->num_nodes() != nodes_before) {
       ++grown;
-      EXPECT_EQ(swap_rebuilt, kSets) << "a node-count change rebuilds";
-    } else if (swap_rebuilt < kSets) {
-      ++repaired_swaps;
+      EXPECT_EQ(read_rebuilt, kSets) << "a node-count change rebuilds";
+    } else if (read_rebuilt < kSets) {
+      ++repaired_reads;
     }
   }
   EXPECT_GE(retrains, 2u);
   EXPECT_GE(grown, 2u);
-  EXPECT_GE(repaired_swaps, 10u) << "most swaps must take the repair path";
+  EXPECT_GE(repaired_reads, 10u)
+      << "most derivations must take the repair path";
+}
+
+// Publishes nobody reads cost nothing, and the derivation that finally
+// reads repairs across all of them: the newest derived sketch diffed
+// against the published graph. Reads after 2 and after 5 unread swaps
+// repair; a read after swaps that grew the node count generates.
+TEST_P(PublishSketchTest, DerivationAfterUnreadSwapsEqualsFreshBuild) {
+  const size_t threads = GetParam();
+  constexpr size_t kSets = 256;
+  StreamOptions o = MakeOptions();
+  o.retrain.staleness_batches = 100;
+  o.num_threads = threads;
+  std::unique_ptr<StreamPipeline> pipeline =
+      std::move(StreamPipeline::Build(MakeLocalGraph(), o)).ValueOrDie();
+
+  Graph serve_graph = MakeLocalGraph();
+  MetricsRegistry metrics;
+  ServeConfig cfg;
+  cfg.num_threads = threads;
+  cfg.rr_sketch_sets = kSets;
+  cfg.metrics = &metrics;
+  Server server(serve_graph, cfg);
+  const Counter* rebuilt = metrics.GetCounter("serve.sketch.sets_rebuilt");
+  const Counter* derivations =
+      metrics.GetCounter("serve.sketch.derivations");
+  ASSERT_TRUE(server.CurrentSketch().ok());
+  ASSERT_EQ(derivations->value(), 1u);
+
+  struct Phase {
+    size_t unread_swaps;
+    int grow_at;  // Index of the swap whose batch adds nodes, or -1.
+  };
+  for (const Phase phase : {Phase{2, -1}, Phase{5, -1}, Phase{5, 1}}) {
+    SCOPED_TRACE(testing::Message() << phase.unread_swaps << " swaps, grow "
+                                    << phase.grow_at);
+    const size_t nodes_before = server.CurrentGraph()->num_nodes();
+    const uint64_t rebuilt_before = rebuilt->value();
+    for (size_t i = 0; i < phase.unread_swaps; ++i) {
+      const UpdateBatch batch =
+          NextBatch(*pipeline, o, static_cast<int>(i) == phase.grow_at);
+      ASSERT_TRUE(pipeline->ApplyBatch(batch).ok());
+      ASSERT_TRUE(pipeline->PublishTo(server).ok());
+    }
+    EXPECT_EQ(rebuilt->value(), rebuilt_before);
+    const uint64_t derivations_before = derivations->value();
+
+    const std::shared_ptr<const Graph> graph = server.CurrentGraph();
+    const std::shared_ptr<const RrSketch> served =
+        std::move(server.CurrentSketch()).ValueOrDie();
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(derivations->value(), derivations_before + 1);
+    ExpectFreshSketch(*served, *graph, kSets, cfg.rr_sketch_seed);
+    const uint64_t generated = rebuilt->value() - rebuilt_before;
+    if (phase.grow_at >= 0) {
+      ASSERT_NE(graph->num_nodes(), nodes_before);
+      EXPECT_EQ(generated, kSets) << "a node-count change generates";
+    } else {
+      ASSERT_EQ(graph->num_nodes(), nodes_before);
+      EXPECT_GT(generated, 0u);
+      EXPECT_LT(generated, kSets) << "an unchanged node count repairs";
+    }
+    // A second read of the same state derives nothing.
+    ASSERT_TRUE(server.CurrentSketch().ok());
+    EXPECT_EQ(derivations->value(), derivations_before + 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, PublishSketchTest,

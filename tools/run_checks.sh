@@ -85,8 +85,10 @@ echo "== stage 1f: streaming pipeline suite + O(ball) update/publish gates =="
 # StreamUpdate case then applies real update batches to a 50k-node graph
 # and exits nonzero if a 16-event batch repairs more than 25% of the
 # resident sketch — the O(ball) locality contract of docs/streaming.md;
-# StreamPublish publishes such batches to a Server and exits nonzero if
-# its swaps regenerate more than 25% of the server's sketch on average.
+# StreamPublish publishes such batches to a Server, reads the sketch
+# after each swap, and exits nonzero if a swap itself generates any RR
+# set or the first reads regenerate more than 25% of the server's sketch
+# on average.
 ctest --test-dir "$BUILD_DIR" -L stream -j"$(nproc)" --output-on-failure
 "$BUILD_DIR/bench/bench_micro" --benchmark_filter='Stream(Update|Publish)'
 
